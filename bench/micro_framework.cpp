@@ -8,6 +8,7 @@
 #include "core/frontend.hpp"
 #include "pkg/pkg.hpp"
 #include "support/sha256.hpp"
+#include "support/sha256_compress.hpp"
 #include "tar/tar.hpp"
 #include "toolchain/options.hpp"
 #include "workloads/harness.hpp"
@@ -22,6 +23,8 @@ const workloads::AppSpec& lammps() {
   return *app;
 }
 
+// BM_Sha256 is the dispatched path every caller gets (SHA extensions when
+// CPUID has them); BM_Sha256Portable pins the portable compressor.
 void BM_Sha256(benchmark::State& state) {
   std::string data(static_cast<std::size_t>(state.range(0)), 'x');
   for (auto _ : state) {
@@ -30,6 +33,17 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
+
+void BM_Sha256Portable(benchmark::State& state) {
+  std::string data(static_cast<std::size_t>(state.range(0)), 'x');
+  for (auto _ : state) {
+    Sha256 hasher(&sha256_detail::compress_portable);
+    hasher.update(data);
+    benchmark::DoNotOptimize(hasher.finish());
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Sha256Portable)->Arg(1 << 10)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_TarPackUnpack(benchmark::State& state) {
   vfs::Filesystem tree = workloads::build_context(lammps());

@@ -16,9 +16,9 @@
 # registry, rebuild service, obs tracing/metrics) and the
 # service + soak smoke benches. A third
 # build under AddressSanitizer reruns the durability layer (write-ahead
-# journal, crash/torn-write injection, fsck/repair) plus the crash-resume
-# smoke bench — crash paths unwind through partially written state, exactly
-# where ASAN finds lifetime bugs.
+# journal, crash/torn-write injection, fsck/repair), SHA-256 and vfs, plus
+# the crash-resume smoke bench — crash paths unwind through partially
+# written state, exactly where ASAN finds lifetime bugs.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build)
 #   COMT_SKIP_TSAN=1   skip the ThreadSanitizer stage.
@@ -92,9 +92,12 @@ if [ "${COMT_SKIP_ASAN:-0}" != "1" ]; then
   cmake -B "$asan_dir" -S "$repo" -DCOMT_SANITIZE=address
   cmake --build "$asan_dir" -j "$jobs"
 
-  echo "== asan test (durability layer) =="
+  echo "== asan test (durability layer, SHA-256, vfs) =="
+  # Sha256: the SHA-extension compressor loads 16 bytes at a time, so ASAN
+  # must see any read past a buffer's end. Vfs: node content is reallocated
+  # to its exact size.
   ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" \
-        -R 'Journal|Durable|Fsck|CrashResume|ServiceCrashRecovery|FaultInjector|LayoutPin|RegistryPin|Store|Transfer'
+        -R 'Journal|Durable|Fsck|CrashResume|ServiceCrashRecovery|FaultInjector|LayoutPin|RegistryPin|Store|Transfer|Sha256|Vfs'
 
   echo "== asan bench smoke =="
   "$asan_dir/bench/crash_resume" --smoke

@@ -114,9 +114,12 @@ Result<LeaseCoordinator::Grant> LeaseCoordinator::acquire(const std::string& key
         grant.wait_ms = elapsed_ms(start);
         return grant;
       }
-      // Stale memo — the published image vanished from the hub. Erase it and
-      // fall through to rebuild.
-      (void)store_->erase(done_key(key));
+      // Stale memo — the published image vanished from the hub: treat it as
+      // absent and fall through to the lease. Never erase it here: the
+      // holder may publish a fresh marker (often the same "name:tag")
+      // between this check and an erase, and erasing that one would send
+      // the next claimer into a duplicate build. The next successful build
+      // overwrites the stale marker.
     }
 
     // 2. The lease. Corrupt (torn record) counts as absent: compare_and_put

@@ -24,7 +24,10 @@ Filesystem::NodeRef Filesystem::make_node(NodeType type, std::string content,
                                           std::uint32_t mode) {
   auto node = std::make_shared<Node>();
   node->type = type;
+  // Nodes live as long as any snapshot holding them, so drop the spare
+  // capacity a string built by appends carries (up to 2x its size).
   node->content = std::move(content);
+  node->content.shrink_to_fit();
   node->mode = mode;
   return node;
 }

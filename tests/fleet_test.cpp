@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -177,6 +178,79 @@ TEST(FleetLeaseTest, WaiterPollsUntilHolderPublishes) {
   EXPECT_GT(got.value().wait_ms, 0.0);
   EXPECT_EQ(metrics.counter_value("fleet.lease.waits"), 1u);
   EXPECT_EQ(metrics.counter_value("fleet.lease.reused"), 1u);
+}
+
+/// Forwards to a MemStore, and runs `hook` once, right before the first
+/// erase of `done` or read of `lease` after `arm()`.
+class InterleavingStore final : public store::KvStore {
+ public:
+  InterleavingStore(std::string done, std::string lease)
+      : done_(std::move(done)), lease_(std::move(lease)) {}
+  void arm(std::function<void()> hook) { hook_ = std::move(hook); }
+
+  Result<std::string> get(std::string_view key) const override {
+    if (key == lease_) fire();
+    return inner_.get(key);
+  }
+  Status put(std::string_view key, std::string value) override {
+    return inner_.put(key, std::move(value));
+  }
+  Status erase(std::string_view key) override {
+    if (key == done_) fire();
+    return inner_.erase(key);
+  }
+  bool contains(std::string_view key) const override { return inner_.contains(key); }
+  Result<std::uint64_t> size(std::string_view key) const override { return inner_.size(key); }
+  std::vector<store::KvEntry> list(std::string_view prefix) const override {
+    return inner_.list(prefix);
+  }
+  Status sync() override { return inner_.sync(); }
+
+ private:
+  void fire() const {
+    if (!hook_) return;
+    auto hook = std::move(hook_);
+    hook_ = nullptr;
+    hook();
+  }
+
+  store::MemStore inner_;
+  std::string done_, lease_;
+  mutable std::function<void()> hook_;
+};
+
+TEST(FleetLeaseTest, StaleMarkerCheckNeverLosesAFreshMarker) {
+  registry::Registry hub;
+  ASSERT_TRUE(publish(hub, "minimd", "hub/minimd", "1.0").ok());
+  auto store = std::make_shared<InterleavingStore>(std::string(kDonePrefix) + "k",
+                                                   std::string(kLeasePrefix) + "k");
+  obs::MetricsRegistry metrics;
+  LeaseCoordinator::Options opts;
+  opts.replica_id = "holder";
+  LeaseCoordinator holder(store, &hub, opts);
+  holder.set_metrics(&metrics);
+  opts.replica_id = "late";
+  LeaseCoordinator late(store, &hub, opts);
+  late.set_metrics(&metrics);
+
+  auto held = holder.acquire("k");
+  ASSERT_TRUE(held.ok());
+  ASSERT_FALSE(held.value().reuse);
+
+  // The late replica finds the marker of an earlier build whose output was
+  // garbage-collected; the holder publishes and retires its lease before the
+  // late replica's next store operation.
+  ASSERT_TRUE(store->put(std::string(kDonePrefix) + "k", "hub/minimd:gone").ok());
+  store->arm([&] {
+    holder.release("k", LeaseCoordinator::Outcome::succeeded, "hub/minimd:1.0",
+                   held.value().epoch);
+  });
+  auto got = late.acquire("k");
+  ASSERT_TRUE(got.ok());
+  EXPECT_TRUE(got.value().reuse);
+  EXPECT_EQ(got.value().output, "hub/minimd:1.0");
+  EXPECT_EQ(late.read_done("k").value_or(""), "hub/minimd:1.0");
+  EXPECT_EQ(metrics.counter_value("fleet.lease.acquired"), 1u);  // built once
 }
 
 TEST(FleetLeaseTest, TornLeaseRecordIsClaimableNotWedged) {

@@ -46,6 +46,30 @@ TEST(VfsEdgeTest, EmptyDirectoryDiffRoundTrip) {
   EXPECT_TRUE(rebuilt == target);
 }
 
+TEST(VfsEdgeTest, FileContentIsStoredAtExactSize) {
+  // Built by appends, like an edited source file: spare capacity behind it.
+  std::string content;
+  for (std::size_t i = 0; i < 10 * 1024; ++i) content += static_cast<char>('a' + i % 26);
+  ASSERT_GT(content.capacity(), content.size());
+  const std::string expected = content;
+
+  vfs::Filesystem fs;
+  ASSERT_TRUE(fs.write_file("/etc/os-release", "linux\n").ok());
+  const std::uint64_t bytes_before = fs.total_file_bytes();
+  ASSERT_TRUE(fs.write_file("/data/blob", std::move(content)).ok());
+  const vfs::Node* node = fs.lookup("/data/blob");
+  ASSERT_NE(node, nullptr);
+  EXPECT_EQ(node->content.capacity(), node->content.size());
+  EXPECT_EQ(node->content, expected);
+  EXPECT_EQ(fs.read_file("/data/blob").value(), expected);
+  EXPECT_EQ(fs.total_file_bytes(), bytes_before + expected.size());
+
+  vfs::Filesystem same;
+  ASSERT_TRUE(same.write_file("/etc/os-release", "linux\n").ok());
+  ASSERT_TRUE(same.write_file("/data/blob", expected).ok());
+  EXPECT_TRUE(fs == same);
+}
+
 TEST(JsonEdgeTest, SerializationIsAFixedPoint) {
   for (const char* text :
        {"[0.5,1,100000,1e-05]", R"({"a":1,"b":[true,null]})", "[[[[[1]]]]]"}) {

@@ -291,6 +291,87 @@ TEST(ObsProfileTest, PhasesAggregateOnlyUnderTheRoot) {
   EXPECT_NE(report.to_string().find("compile"), std::string::npos);
 }
 
+// One small rebuild-shaped tree: direct children of the root, one of them
+// ended on another thread. Returns the root's id; the root has ended.
+obs::SpanId emit_rebuild_tree(obs::Tracer& tracer) {
+  obs::Span root = tracer.span("rebuild", obs::kNoSpan, "rebuild");
+  const obs::SpanId root_id = root.id();
+  { obs::Span span = tracer.span("resolve", root_id, "resolve"); }
+  std::thread worker([&tracer, root_id] {
+    obs::Span span = tracer.span("job:a", root_id, "compile");
+  });
+  worker.join();
+  { obs::Span span = tracer.span("job:link", root_id, "link"); }
+  { obs::Span span = tracer.span("layer-commit", root_id, "layer-commit"); }
+  return root_id;
+}
+
+TEST(ObsProfileTest, EarlierSpansOnOtherThreadsDoNotChangeTheProfile) {
+  obs::Tracer quiet;
+  const obs::ProfileReport alone =
+      obs::profile_phases(quiet, emit_rebuild_tree(quiet));
+
+  // 10 000 unrelated spans in the root's own phase names, on two other
+  // threads, all ended before the root starts.
+  obs::Tracer busy;
+  std::vector<std::thread> emitters;
+  for (int t = 0; t < 2; ++t) {
+    emitters.emplace_back([&busy] {
+      for (int i = 0; i < 5000; ++i) {
+        obs::Span span = busy.span("earlier", obs::kNoSpan, i % 2 == 0 ? "compile" : "link");
+      }
+    });
+  }
+  for (std::thread& emitter : emitters) emitter.join();
+  const obs::SpanId root_id = emit_rebuild_tree(busy);
+  const obs::ProfileReport crowded = obs::profile_phases(busy, root_id);
+
+  EXPECT_EQ(crowded.root, alone.root);
+  ASSERT_EQ(crowded.phases.size(), alone.phases.size());
+  for (std::size_t i = 0; i < alone.phases.size(); ++i) {
+    EXPECT_EQ(crowded.phases[i].phase, alone.phases[i].phase);
+    EXPECT_EQ(crowded.phases[i].spans, alone.phases[i].spans);
+  }
+  // Durations are this tree's own, read off the full trace.
+  std::map<std::string, double> expected_ms;
+  double root_ms = 0;
+  for (const obs::SpanRecord& span : busy.snapshot()) {
+    if (span.id == root_id) root_ms = span.dur_us / 1000.0;
+    if (span.parent == root_id) expected_ms[span.category] += span.dur_us / 1000.0;
+  }
+  EXPECT_DOUBLE_EQ(crowded.total_ms, root_ms);
+  ASSERT_EQ(crowded.phases.size(), expected_ms.size());
+  for (const obs::PhaseTime& phase : crowded.phases) {
+    EXPECT_DOUBLE_EQ(phase.total_ms, expected_ms[phase.phase]) << phase.phase;
+  }
+}
+
+TEST(ObsTraceTest, VisitLatestFirstWalksBackInEndOrder) {
+  obs::Tracer tracer;
+  std::vector<std::thread> emitters;
+  for (int t = 0; t < 3; ++t) {
+    emitters.emplace_back([&tracer] {
+      for (int i = 0; i < 200; ++i) obs::Span span = tracer.span("s");
+    });
+  }
+  for (std::thread& emitter : emitters) emitter.join();
+
+  std::size_t visited = 0;
+  double previous_end = 1e300;
+  tracer.visit_latest_first([&](const obs::SpanRecord& span) {
+    const double end = span.start_us + span.dur_us;
+    EXPECT_LE(end, previous_end);
+    previous_end = end;
+    ++visited;
+    return true;
+  });
+  EXPECT_EQ(visited, tracer.span_count());
+
+  std::size_t early = 0;
+  tracer.visit_latest_first([&](const obs::SpanRecord&) { return ++early < 5; });
+  EXPECT_EQ(early, 5u);
+}
+
 // ---- End-to-end: a traced rebuild -------------------------------------------
 
 oci::Layout build_extended_world(const sysmodel::SystemProfile& system) {

@@ -82,6 +82,10 @@ struct GenCase {
   KernelTrait kernel;
 };
 
+// Without this, gtest prints GetParam() as raw bytes, pointers included, so
+// the listed test names would change with every build and every run.
+void PrintTo(const GenCase& c, std::ostream* os) { *os << c.name; }
+
 KernelTrait make_kernel(std::string name, double vec, double mem, double lib_frac,
                         double pgo) {
   KernelTrait kernel;

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <random>
 #include <thread>
 #include <vector>
 
 #include "support/error.hpp"
 #include "support/fault.hpp"
 #include "support/sha256.hpp"
+#include "support/sha256_compress.hpp"
 #include "support/strings.hpp"
 
 namespace comt {
@@ -110,6 +112,116 @@ TEST(Sha256Test, BlockBoundaryLengths) {
 
 TEST(Sha256Test, DifferentInputsDiffer) {
   EXPECT_NE(Sha256::hex_digest("a"), Sha256::hex_digest("b"));
+}
+
+TEST(Sha256Test, DefaultHasherUsesHardwareWhenPresent) {
+  const Sha256::Compressor hardware = sha256_detail::hardware_compressor();
+  EXPECT_EQ(sha256_detail::selected_compressor(),
+            hardware != nullptr ? hardware : &sha256_detail::compress_portable);
+}
+
+// ---- SHA-256 block compressors --------------------------------------------------
+// Every test drives the full hasher (buffering, padding) through one
+// compressor. The portable one is the reference; the hardware one must match
+// it byte for byte.
+
+std::string digest_with(Sha256::Compressor compress, std::string_view data) {
+  Sha256 hasher(compress);
+  hasher.update(data);
+  auto digest = hasher.finish();
+  return to_hex(digest.data(), digest.size());
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t size, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint8_t> bytes(size);
+  for (std::uint8_t& byte : bytes) byte = static_cast<std::uint8_t>(rng());
+  return bytes;
+}
+
+std::string_view as_view(const std::vector<std::uint8_t>& bytes) {
+  return {reinterpret_cast<const char*>(bytes.data()), bytes.size()};
+}
+
+constexpr const char* kNoShaExtensions =
+    "CPU lacks the SHA extensions (CPUID leaf 7 EBX bit 29, SSSE3, SSE4.1) or the "
+    "build is not x86";
+
+class Sha256PathTest : public ::testing::TestWithParam<bool> {
+ protected:
+  void SetUp() override {
+    if (!GetParam()) {
+      compress_ = &sha256_detail::compress_portable;
+      return;
+    }
+    compress_ = sha256_detail::hardware_compressor();
+    if (compress_ == nullptr) {
+      GTEST_SKIP() << kNoShaExtensions;
+    }
+  }
+  Sha256::Compressor compress_ = nullptr;
+};
+
+TEST_P(Sha256PathTest, FipsVectors) {
+  EXPECT_EQ(digest_with(compress_, ""),
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+  EXPECT_EQ(digest_with(compress_, "abc"),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+  EXPECT_EQ(digest_with(compress_, "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+  EXPECT_EQ(digest_with(compress_,
+                        "abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno"
+                        "ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1");
+  EXPECT_EQ(digest_with(compress_, std::string(1000000, 'a')),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST_P(Sha256PathTest, IncrementalSplitsMatchOneShot) {
+  const std::vector<std::uint8_t> input = random_bytes(200, 7);
+  const std::string_view data = as_view(input);
+  const std::string expected = digest_with(&sha256_detail::compress_portable, data);
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    Sha256 hasher(compress_);
+    hasher.update(data.substr(0, split));
+    hasher.update(data.substr(split));
+    auto digest = hasher.finish();
+    EXPECT_EQ(to_hex(digest.data(), digest.size()), expected) << "split at " << split;
+  }
+  Sha256 bytewise(compress_);
+  for (char byte : data) bytewise.update(&byte, 1);
+  auto digest = bytewise.finish();
+  EXPECT_EQ(to_hex(digest.data(), digest.size()), expected);
+}
+
+INSTANTIATE_TEST_SUITE_P(Paths, Sha256PathTest, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return std::string(info.param ? "hardware" : "portable");
+                         });
+
+TEST(Sha256HardwareTest, MatchesPortableOnEveryLengthTo300) {
+  const Sha256::Compressor hardware = sha256_detail::hardware_compressor();
+  if (hardware == nullptr) GTEST_SKIP() << kNoShaExtensions;
+  const std::vector<std::uint8_t> source = random_bytes(300, 11);
+  for (std::size_t n = 0; n <= source.size(); ++n) {
+    // An exact-size heap copy, so AddressSanitizer sees any read past the end.
+    const std::vector<std::uint8_t> input(source.begin(), source.begin() + n);
+    EXPECT_EQ(digest_with(hardware, as_view(input)),
+              digest_with(&sha256_detail::compress_portable, as_view(input)))
+        << "length " << n;
+  }
+}
+
+TEST(Sha256HardwareTest, MatchesPortableOnMultiMegabyteInputs) {
+  const Sha256::Compressor hardware = sha256_detail::hardware_compressor();
+  if (hardware == nullptr) GTEST_SKIP() << kNoShaExtensions;
+  std::uint64_t seed = 100;
+  for (std::size_t size : {(1u << 20) + 13u, (3u << 20) - 1u, (4u << 20) + 64u}) {
+    const std::vector<std::uint8_t> input = random_bytes(size, ++seed);
+    EXPECT_EQ(digest_with(hardware, as_view(input)),
+              digest_with(&sha256_detail::compress_portable, as_view(input)))
+        << "size " << size;
+  }
 }
 
 // ---- strings ------------------------------------------------------------------
