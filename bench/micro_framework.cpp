@@ -1,7 +1,8 @@
 // Framework micro-benchmarks (google-benchmark): the coMtainer machinery
-// costs the paper treats qualitatively — image flattening, layer packing,
-// digesting, GCC command-line parsing, build-graph serialization, dependency
-// resolution, and the full user-side/system-side pipeline stages.
+// costs the paper treats qualitatively — image flattening, layout copies,
+// layer packing, digesting, GCC command-line parsing, build-graph
+// serialization, dependency resolution, and the full user-side/system-side
+// pipeline stages.
 #include <benchmark/benchmark.h>
 
 #include "core/backend.hpp"
@@ -92,6 +93,9 @@ void BM_DependencyResolve(benchmark::State& state) {
 }
 BENCHMARK(BM_DependencyResolve);
 
+// BM_ImageFlatten is a warm flatten: the layout keeps the layers it has
+// unpacked, so every iteration binds kept trees. BM_ImageFlattenCold flattens
+// a fresh copy of a layout that never unpacked them: read, un-tar, bind.
 void BM_ImageFlatten(benchmark::State& state) {
   workloads::Evaluation world(sysmodel::SystemProfile::x86_cluster());
   auto prepared = world.prepare(lammps());
@@ -104,6 +108,40 @@ void BM_ImageFlatten(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ImageFlatten);
+
+void BM_ImageFlattenCold(benchmark::State& state) {
+  workloads::Evaluation world(sysmodel::SystemProfile::x86_cluster());
+  auto prepared = world.prepare(lammps());
+  COMT_ASSERT(prepared.ok(), "prepare failed");
+  auto image = world.layout().find_image(prepared.value().dist_tag);
+  COMT_ASSERT(image.ok(), "image missing");
+  // The same blobs in a layout that has flattened nothing.
+  oci::Layout cold;
+  for (const oci::Digest& digest : world.layout().blob_digests()) {
+    cold.put_blob(world.layout().get_blob(digest).value(), oci::kMediaTypeLayer);
+  }
+  for (auto _ : state) {
+    oci::Layout copy = cold;
+    auto rootfs = copy.flatten(image.value());
+    benchmark::DoNotOptimize(rootfs.ok());
+  }
+}
+BENCHMARK(BM_ImageFlattenCold);
+
+// Copying a layout that holds the Sysenv and Rebase images, as every service
+// attempt does to get its private workspace.
+void BM_LayoutCopy(benchmark::State& state) {
+  oci::Layout base;
+  Status installed =
+      workloads::install_system_images(base, sysmodel::SystemProfile::x86_cluster());
+  COMT_ASSERT(installed.ok(), "install failed");
+  for (auto _ : state) {
+    oci::Layout copy = base;
+    benchmark::DoNotOptimize(copy);
+  }
+  state.counters["blob_bytes"] = static_cast<double>(base.total_blob_bytes());
+}
+BENCHMARK(BM_LayoutCopy);
 
 void BM_UserSidePipeline(benchmark::State& state) {
   // Full user-side flow: two-stage image build + analysis + cache layer.

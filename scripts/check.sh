@@ -13,10 +13,12 @@
 # tickets, circuit-breaker recovery, and autoscaler convergence. A second build
 # under ThreadSanitizer reruns the concurrency layer
 # (scheduler — including the SchedStress lock-free deque/cache/epoch tests —
-# registry, rebuild service, obs tracing/metrics) and the
+# registry, rebuild service, obs tracing/metrics, and OCI layouts, whose
+# copies share blob buffers and unpacked layer trees across threads) and the
 # service + soak smoke benches. A third
 # build under AddressSanitizer reruns the durability layer (write-ahead
-# journal, crash/torn-write injection, fsck/repair), SHA-256 and vfs, plus
+# journal, crash/torn-write injection, fsck/repair), SHA-256, vfs, the tar
+# parser's damage sweeps and OCI layouts, plus
 # the crash-resume smoke bench — crash paths unwind through partially
 # written state, exactly where ASAN finds lifetime bugs.
 #
@@ -75,9 +77,11 @@ if [ "${COMT_SKIP_TSAN:-0}" != "1" ]; then
   cmake -B "$tsan_dir" -S "$repo" -DCOMT_SANITIZE=thread
   cmake --build "$tsan_dir" -j "$jobs"
 
-  echo "== tsan test (concurrency layer) =="
+  echo "== tsan test (concurrency layer, layouts) =="
+  # Layout|Flatten: layout copies share blob buffers and kept layer trees,
+  # and concurrent flattens of one layout race to keep the same tree.
   ctest --test-dir "$tsan_dir" --output-on-failure -j "$jobs" \
-        -R 'Sched|SchedStress|ThreadPool|Dag|CompileCache|RegistryStress|Service|FaultInjector|Obs|Store|Fleet|Transfer'
+        -R 'Sched|SchedStress|ThreadPool|Dag|CompileCache|RegistryStress|Service|FaultInjector|Obs|Store|Fleet|Transfer|Layout|Flatten'
 
   echo "== tsan bench smoke =="
   "$tsan_dir/bench/service_throughput" --smoke
@@ -92,12 +96,14 @@ if [ "${COMT_SKIP_ASAN:-0}" != "1" ]; then
   cmake -B "$asan_dir" -S "$repo" -DCOMT_SANITIZE=address
   cmake --build "$asan_dir" -j "$jobs"
 
-  echo "== asan test (durability layer, SHA-256, vfs) =="
+  echo "== asan test (durability layer, SHA-256, vfs, tar, layouts) =="
   # Sha256: the SHA-extension compressor loads 16 bytes at a time, so ASAN
   # must see any read past a buffer's end. Vfs: node content is reallocated
-  # to its exact size.
+  # to its exact size. Tar: the parser's truncation and bit-flip sweeps read
+  # right up to every cut. Layout: kept layer trees outlive the bytes they
+  # were unpacked from.
   ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" \
-        -R 'Journal|Durable|Fsck|CrashResume|ServiceCrashRecovery|FaultInjector|LayoutPin|RegistryPin|Store|Transfer|Sha256|Vfs'
+        -R 'Journal|Durable|Fsck|CrashResume|ServiceCrashRecovery|FaultInjector|LayoutPin|RegistryPin|Store|Transfer|Sha256|Vfs|Tar|Layout'
 
   echo "== asan bench smoke =="
   "$asan_dir/bench/crash_resume" --smoke

@@ -127,7 +127,8 @@ class Fleet {
   Fleet& operator=(const Fleet&) = delete;
 
   /// Registers the tenant target on every replica (each replica gets its own
-  /// copy, as separate daemons would). Register before submitting.
+  /// copy and unpacks its own Sysenv, as separate daemons would). Register
+  /// before submitting.
   Status add_system(const std::string& fingerprint, const service::TargetSystem& target);
 
   /// Round-robin submission across replicas — the load balancer in front of

@@ -168,24 +168,64 @@ Result<Manifest> Manifest::from_json(const json::Value& value) {
   return out;
 }
 
+Layout::LayerTrees::LayerTrees(const LayerTrees& other) {
+  std::lock_guard<std::mutex> lock(other.mutex_);
+  trees_ = other.trees_;
+}
+
+Layout::LayerTrees::LayerTrees(LayerTrees&& other) noexcept
+    : trees_(std::move(other.trees_)) {}
+
+Layout::LayerTrees& Layout::LayerTrees::operator=(LayerTrees&& other) noexcept {
+  std::lock_guard<std::mutex> lock(mutex_);
+  trees_ = std::move(other.trees_);
+  ++generation_;
+  return *this;
+}
+
+std::pair<Layout::Tree, std::uint64_t> Layout::LayerTrees::find(
+    const std::string& digest) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = trees_.find(digest);
+  return {it == trees_.end() ? nullptr : it->second, generation_};
+}
+
+void Layout::LayerTrees::keep(const std::string& digest, Tree tree, std::uint64_t generation) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (generation == generation_) trees_.emplace(digest, std::move(tree));
+}
+
+void Layout::LayerTrees::drop(const std::string& digest) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  trees_.erase(digest);
+  ++generation_;
+}
+
+void Layout::LayerTrees::clear() {
+  std::lock_guard<std::mutex> lock(mutex_);
+  trees_.clear();
+  ++generation_;
+}
+
 Layout::Layout() : blobs_(std::make_shared<store::MemStore>(), std::string(kBlobKeyPrefix)) {}
 
 Layout::Layout(const Layout& other)
-    : blobs_(std::make_shared<store::MemStore>(), std::string(kBlobKeyPrefix)),
+    : blobs_(other.attached_
+                 ? std::make_shared<store::MemStore>()
+                 // The source's own MemStore: copying it shares every buffer.
+                 : std::make_shared<store::MemStore>(
+                       static_cast<const store::MemStore&>(other.blobs_.backend())),
+             std::string(kBlobKeyPrefix)),
       index_(other.index_),
       pins_(other.pins_),
-      faults_(other.faults_) {
-  copy_blobs_from(other);
+      faults_(other.faults_),
+      trees_(other.trees_) {
+  // Another writer can change an attached backend: copy its bytes.
+  if (other.attached_) copy_blobs_from(other);
 }
 
 Layout& Layout::operator=(const Layout& other) {
-  if (this == &other) return *this;
-  blobs_ = store::CasStore(std::make_shared<store::MemStore>(), std::string(kBlobKeyPrefix));
-  index_ = other.index_;
-  pins_ = other.pins_;
-  faults_ = other.faults_;
-  durable_index_ = false;
-  copy_blobs_from(other);
+  if (this != &other) *this = Layout(other);
   return *this;
 }
 
@@ -237,12 +277,13 @@ Status Layout::attach(std::shared_ptr<store::KvStore> backend) {
 
   blobs_ = std::move(fresh);
   index_ = std::move(merged);
-  durable_index_ = true;
+  attached_ = true;
+  trees_.clear();
   return persist_index();
 }
 
 Status Layout::persist_index() {
-  if (!durable_index_) return Status::success();
+  if (!attached_) return Status::success();
   store::KvStore& backend = blobs_.backend();
   COMT_TRY_STATUS(backend.put(kOciLayoutKey, std::string(kOciLayoutContent)));
   return backend.put(kIndexKey, json::serialize(index_json_impl(/*lenient=*/true)));
@@ -259,6 +300,7 @@ Descriptor Layout::put_blob(std::string blob, std::string_view media_type) {
       // classic torn blob fsck must find — and the process dies here.
       COMT_ASSERT(blobs_.put_at(descriptor.digest.value, blob.substr(0, *torn)).ok(),
                   "layout: torn blob write failed");
+      trees_.drop(descriptor.digest.value);
       throw support::CrashInjected{std::string(kBlobPutSite)};
     }
   }
@@ -267,6 +309,7 @@ Descriptor Layout::put_blob(std::string blob, std::string_view media_type) {
   // an earlier torn write left truncated under this digest.
   COMT_ASSERT(blobs_.put_at(descriptor.digest.value, std::move(blob)).ok(),
               "layout: blob store put failed");
+  trees_.drop(descriptor.digest.value);
   return descriptor;
 }
 
@@ -274,6 +317,7 @@ void Layout::set_blob_bytes(const Digest& digest, std::string bytes) {
   COMT_ASSERT(has_blob(digest), ("set_blob_bytes: no such blob: " + digest.value).c_str());
   COMT_ASSERT(blobs_.put_at(digest.value, std::move(bytes)).ok(),
               "set_blob_bytes: blob store put failed");
+  trees_.drop(digest.value);
 }
 
 Result<std::string> Layout::get_blob(const Digest& digest) const {
@@ -297,7 +341,9 @@ std::vector<Digest> Layout::blob_digests() const {
 
 std::uint64_t Layout::remove_blob(const Digest& digest) {
   if (is_pinned(digest)) return 0;
-  return blobs_.erase(digest.value);
+  const std::uint64_t freed = blobs_.erase(digest.value);
+  trees_.drop(digest.value);
+  return freed;
 }
 
 void Layout::pin_blob(const Digest& digest) { ++pins_[digest]; }
@@ -386,10 +432,19 @@ Result<Image> Layout::load_image(const Digest& manifest_digest) const {
 Result<vfs::Filesystem> Layout::flatten(const Image& image) const {
   vfs::Filesystem root;
   for (const Descriptor& layer : image.manifest.layers) {
-    COMT_TRY(vfs::Filesystem tree, read_layer(layer));
-    COMT_TRY_STATUS(vfs::apply_layer(root, tree));
+    COMT_TRY(Tree tree, layer_tree(layer));
+    COMT_TRY_STATUS(vfs::apply_layer(root, *tree));
   }
   return root;
+}
+
+Result<Layout::Tree> Layout::layer_tree(const Descriptor& layer) const {
+  auto [kept, generation] = trees_.find(layer.digest.value);
+  if (kept != nullptr) return kept;
+  COMT_TRY(vfs::Filesystem unpacked, read_layer(layer));
+  auto tree = std::make_shared<const vfs::Filesystem>(std::move(unpacked));
+  if (!attached_) trees_.keep(layer.digest.value, tree, generation);
+  return tree;
 }
 
 Descriptor Layout::put_layer(const vfs::Filesystem& tree) {

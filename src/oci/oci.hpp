@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -111,14 +112,25 @@ struct Image {
 /// to attach() (a DiskStore makes this the on-disk oci-layout directory the
 /// paper's workflow mounts into containers at /.coMtainer/io, maintained
 /// live instead of via one-shot save_layout).
+///
+/// An in-memory layout also keeps each layer it has flattened unpacked, next
+/// to the layer's blob, so the next flatten binds the kept tree's nodes
+/// instead of reading and un-tarring the bytes again. Any write or removal
+/// of a digest through the layout drops that digest's tree, so flatten
+/// always returns the fold of apply_layer over tar::unpack of the bytes
+/// stored at that moment, damaged bytes included. An attached layout keeps
+/// no trees: another writer can change its backend.
 class Layout {
  public:
   Layout();
 
-  /// Copies are always private in-memory snapshots: blob bytes and index are
-  /// deep-copied into a fresh MemStore even when the source is attached to a
-  /// disk backend. This is what lets every service job work on its own copy
-  /// of a shared base layout.
+  /// Copies are always private in-memory snapshots. A copy of an in-memory
+  /// layout copies its MemStore, sharing every blob buffer and every kept
+  /// layer tree, so copying costs a pointer per blob, not a copy per byte;
+  /// writes on either side stay invisible to the other. A copy of an
+  /// attached layout copies the blob bytes into a fresh MemStore. This is
+  /// what lets every service job work on its own copy of a shared base
+  /// layout.
   Layout(const Layout& other);
   Layout& operator=(const Layout& other);
   Layout(Layout&&) = default;
@@ -130,6 +142,7 @@ class Layout {
   /// migrated in, and from here on every blob put and index mutation writes
   /// through ("blobs/sha256/<hex>", "index.json", "oci-layout" keys — the
   /// standard directory shape when the backend is an unframed DiskStore).
+  /// Drops every kept layer tree.
   Status attach(std::shared_ptr<store::KvStore> backend);
 
   /// Stores a blob and returns its descriptor. Re-putting a digest replaces
@@ -200,6 +213,8 @@ class Layout {
 
   /// Applies all layers of `image` in order over an empty root — the final
   /// container filesystem (the "POSIX file system simulator" of §4.5).
+  /// Reuses each layer's kept tree; an in-memory layout keeps the trees it
+  /// unpacks. Safe to call from several threads at once.
   Result<vfs::Filesystem> flatten(const Image& image) const;
 
   /// Packs `tree` as a tar layer blob and returns its layer descriptor.
@@ -227,7 +242,37 @@ class Layout {
   Status fsck() const;
 
  private:
+  using Tree = std::shared_ptr<const vfs::Filesystem>;
+
+  /// Unpacked layer trees by layer digest. Trees are immutable and shared
+  /// with copies. One mutex guards the map and is never held while a layer
+  /// unpacks; a generation count, bumped by every drop, stops a tree
+  /// unpacked from bytes that were replaced meanwhile from being kept.
+  class LayerTrees {
+   public:
+    LayerTrees() = default;
+    LayerTrees(const LayerTrees& other);
+    LayerTrees(LayerTrees&& other) noexcept;
+    LayerTrees& operator=(LayerTrees&& other) noexcept;
+
+    /// The kept tree of `digest` (null when none) and the generation to
+    /// hand keep() after unpacking it.
+    std::pair<Tree, std::uint64_t> find(const std::string& digest) const;
+    /// Keeps `tree` unless a drop happened since `generation`.
+    void keep(const std::string& digest, Tree tree, std::uint64_t generation);
+    void drop(const std::string& digest);
+    void clear();
+
+   private:
+    mutable std::mutex mutex_;
+    std::map<std::string, Tree> trees_;
+    std::uint64_t generation_ = 0;
+  };
+
   void copy_blobs_from(const Layout& other);
+  /// The unpacked tree of `layer`: the kept one, or a fresh unpack of the
+  /// stored bytes (kept unless attached).
+  Result<Tree> layer_tree(const Descriptor& layer) const;
   json::Value index_json_impl(bool lenient) const;
   /// Writes "oci-layout" + "index.json" through the backend when attached.
   Status persist_index();
@@ -237,7 +282,10 @@ class Layout {
   std::vector<std::pair<std::string, Digest>> index_;
   std::map<Digest, int> pins_;  // digest -> pin refcount (GC exclusion set)
   support::FaultInjector* faults_ = nullptr;
-  bool durable_index_ = false;  ///< attach() ran: index mutations write through
+  /// attach() ran: blobs_ is an external backend and index mutations write
+  /// through. Otherwise blobs_ is this layout's own MemStore.
+  bool attached_ = false;
+  mutable LayerTrees trees_;
 };
 
 }  // namespace comt::oci

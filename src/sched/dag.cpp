@@ -1,6 +1,5 @@
 #include "sched/dag.hpp"
 
-#include <atomic>
 #include <condition_variable>
 #include <map>
 #include <mutex>
@@ -118,10 +117,11 @@ Result<ScheduleReport> DagScheduler::run(ThreadPool* pool, const ObsOptions& opt
 
   if (hooks != nullptr) {
     // ---- Epoch / wave mode -------------------------------------------------
-    // Jobs grouped by level run as one batch between two barriers. No
-    // per-job mutex: a body writes only its own report slot, the shared
-    // counters are aggregated on the caller's thread at the barrier, and
-    // poison marks are read/written only between waves.
+    // Jobs grouped by level run as one batch between two barriers. No lock
+    // around a body: it writes only its own report slot, the shared counters
+    // are aggregated on the caller's thread at the barrier, and poison marks
+    // are read/written only between waves. A finished body takes the
+    // barrier's mutex once, to count down.
     std::vector<std::vector<std::size_t>> waves;
     for (std::size_t i = 0; i < count; ++i) {
       if (level[i] >= waves.size()) waves.resize(level[i] + 1);
@@ -174,7 +174,10 @@ Result<ScheduleReport> DagScheduler::run(ThreadPool* pool, const ObsOptions& opt
         if (pool == nullptr) {
           for (std::size_t job_index : runnable) run_body(job_index);
         } else {
-          std::atomic<std::size_t> pending{runnable.size()};
+          // The barrier lives on this stack frame. Each task counts down and
+          // notifies under the mutex, so this thread can only see zero once
+          // the last task is done with the mutex and condition variable.
+          std::size_t pending = runnable.size();
           std::mutex wave_mutex;
           std::condition_variable wave_done;
           std::vector<std::function<void()>> tasks;
@@ -182,17 +185,13 @@ Result<ScheduleReport> DagScheduler::run(ThreadPool* pool, const ObsOptions& opt
           for (std::size_t job_index : runnable) {
             tasks.push_back([&, job_index] {
               run_body(job_index);
-              if (pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                std::lock_guard<std::mutex> lock(wave_mutex);
-                wave_done.notify_all();
-              }
+              std::lock_guard<std::mutex> lock(wave_mutex);
+              if (--pending == 0) wave_done.notify_all();
             });
           }
           pool->submit_batch(std::move(tasks));
           std::unique_lock<std::mutex> lock(wave_mutex);
-          wave_done.wait(lock, [&] {
-            return pending.load(std::memory_order_acquire) == 0;
-          });
+          wave_done.wait(lock, [&] { return pending == 0; });
         }
 
         std::vector<std::size_t> succeeded;

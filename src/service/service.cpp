@@ -202,7 +202,12 @@ Status RebuildService::add_system(std::string fingerprint, TargetSystem target) 
     return make_error(Errc::invalid_argument,
                       "service: target system needs a profile and a repository");
   }
-  COMT_TRY_STATUS(target.base_layout.find_image(target.sysenv_tag));
+  COMT_TRY(oci::Image sysenv, target.base_layout.find_image(target.sysenv_tag));
+  // Refuse damaged bytes before any ticket builds on them, then unpack the
+  // Sysenv once into this stored copy: every attempt's workspace copy shares
+  // the unpacked layers instead of un-tarring them again.
+  COMT_TRY_STATUS(target.base_layout.fsck());
+  COMT_TRY_STATUS(target.base_layout.flatten(sysenv));
   std::lock_guard<std::mutex> lock(mutex_);
   if (systems_.count(fingerprint) != 0) {
     return make_error(Errc::already_exists, "service: system already registered: " + fingerprint);

@@ -182,7 +182,10 @@ struct TargetSystem {
   const sysmodel::SystemProfile* profile = nullptr;
   const pkg::Repository* repo = nullptr;  ///< the system's optimized stack
   /// Template layout holding the system's Sysenv image; every job works on a
-  /// private copy, so jobs never see each other's intermediate state.
+  /// private copy, so jobs never see each other's intermediate state. Copies
+  /// share blob bytes and unpacked layers: add_system checks the stored copy
+  /// with fsck and unpacks the Sysenv into it once, so each job's copy starts
+  /// with the Sysenv already unpacked.
   oci::Layout base_layout;
   std::string sysenv_tag;
   /// Adapters applied to every rebuild for this system, in order.
@@ -369,6 +372,8 @@ class RebuildService {
 
   /// Registers a tenant target under `fingerprint` and spins up its worker
   /// pool. Register every system before sharing the service across threads.
+  /// Refuses a target whose base layout fails fsck (Errc::corrupt), then
+  /// unpacks its Sysenv once into the stored copy of that layout.
   Status add_system(std::string fingerprint, TargetSystem target);
 
   /// Submits a rebuild. Returns a ticket immediately; the ticket may already

@@ -48,6 +48,11 @@ obs::Span KvStore::sync_span() const {
   return obs::maybe_span(tracer_, "store.sync", obs::kNoSpan, "store");
 }
 
+MemStore::MemStore(const MemStore& other) : KvStore() {
+  std::lock_guard<std::mutex> lock(other.mutex_);
+  entries_ = other.entries_;
+}
+
 Result<std::string> MemStore::get(std::string_view key) const {
   if (key.empty()) return make_error(Errc::invalid_argument, "store: empty key");
   std::lock_guard<std::mutex> lock(mutex_);
@@ -55,8 +60,8 @@ Result<std::string> MemStore::get(std::string_view key) const {
   if (it == entries_.end()) {
     return make_error(Errc::not_found, "store: no such key: " + std::string(key));
   }
-  note_get(it->second.size());
-  return it->second;
+  note_get(it->second->size());
+  return *it->second;
 }
 
 Status MemStore::put(std::string_view key, std::string value) {
@@ -68,10 +73,12 @@ Status MemStore::put(std::string_view key, std::string value) {
     if (torn.has_value()) {
       // The medium persisted a prefix and the process dies here — the
       // in-memory analogue of a half-flushed file.
-      entries_.insert_or_assign(std::string(key), value.substr(0, *torn));
+      entries_.insert_or_assign(std::string(key),
+                                std::make_shared<const std::string>(value.substr(0, *torn)));
     } else {
       note_put(value.size());
-      entries_.insert_or_assign(std::string(key), std::move(value));
+      entries_.insert_or_assign(std::string(key),
+                                std::make_shared<const std::string>(std::move(value)));
     }
   }
   if (torn.has_value()) throw support::CrashInjected{std::string(kStorePutSite)};
@@ -98,7 +105,7 @@ Result<std::uint64_t> MemStore::size(std::string_view key) const {
   if (it == entries_.end()) {
     return make_error(Errc::not_found, "store: no such key: " + std::string(key));
   }
-  return static_cast<std::uint64_t>(it->second.size());
+  return static_cast<std::uint64_t>(it->second->size());
 }
 
 std::vector<KvEntry> MemStore::list(std::string_view prefix) const {
@@ -106,7 +113,7 @@ std::vector<KvEntry> MemStore::list(std::string_view prefix) const {
   std::vector<KvEntry> out;
   for (auto it = entries_.lower_bound(prefix); it != entries_.end(); ++it) {
     if (it->first.compare(0, prefix.size(), prefix) != 0) break;
-    out.push_back(KvEntry{it->first, it->second.size()});
+    out.push_back(KvEntry{it->first, it->second->size()});
   }
   return out;
 }

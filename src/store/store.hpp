@@ -5,8 +5,8 @@
 // store" is one concept, not three.
 //
 // Two backends ship:
-//  - MemStore: a mutex-guarded map. The default everywhere; byte-for-byte
-//    the behaviour the subsystems had before the refactor, zero overhead.
+//  - MemStore: a mutex-guarded map of immutable shared buffers. The default
+//    everywhere; copying one shares every value instead of copying bytes.
 //  - DiskStore (disk.hpp): a real directory with atomic write-rename puts,
 //    fsync-on-sync, and the journal's fnv1a64 framing for torn-write
 //    detection.
@@ -140,10 +140,16 @@ class KvStore {
   obs::Counter* corrupt_ = nullptr;
 };
 
-/// The in-memory backend: a mutex-guarded ordered map. Values survive exactly
-/// as long as the object — the pre-refactor behaviour of every subsystem.
+/// The in-memory backend: a mutex-guarded ordered map. Each value is an
+/// immutable shared buffer, so a copy of the store costs one pointer per key:
+/// the copy shares the source's buffers, and a put on either side replaces
+/// its own buffer, invisible to the other. get() still returns a copy of the
+/// bytes. A copy starts with no observer and no fault injector.
 class MemStore final : public KvStore {
  public:
+  MemStore() = default;
+  MemStore(const MemStore& other);
+
   Result<std::string> get(std::string_view key) const override;
   Status put(std::string_view key, std::string value) override;
   Status erase(std::string_view key) override;
@@ -154,7 +160,7 @@ class MemStore final : public KvStore {
 
  private:
   mutable std::mutex mutex_;
-  std::map<std::string, std::string, std::less<>> entries_;
+  std::map<std::string, std::shared_ptr<const std::string>, std::less<>> entries_;
 };
 
 }  // namespace comt::store

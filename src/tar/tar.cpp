@@ -44,6 +44,37 @@ std::uint64_t read_octal(const char* field, std::size_t length) {
   return value;
 }
 
+/// The ustar header checksum: the unsigned sum of all 512 header bytes with
+/// the checksum field itself counted as spaces.
+unsigned header_checksum(const char* header) {
+  unsigned sum = 0;
+  for (std::size_t i = 0; i < kBlockSize; ++i) {
+    const bool in_field =
+        i >= HeaderLayout::chksum && i < HeaderLayout::chksum + HeaderLayout::chksum_len;
+    sum += in_field ? static_cast<unsigned char>(' ') : static_cast<unsigned char>(header[i]);
+  }
+  return sum;
+}
+
+/// True when the stored checksum field (octal digits after optional leading
+/// spaces, then only NULs and spaces) equals the header's checksum. Parsed
+/// strictly, so a damaged terminator reads as damage too.
+bool checksum_matches(const char* header) {
+  const char* field = header + HeaderLayout::chksum;
+  std::size_t i = 0;
+  while (i < HeaderLayout::chksum_len && field[i] == ' ') ++i;
+  const std::size_t digits_start = i;
+  unsigned stored = 0;
+  for (; i < HeaderLayout::chksum_len && field[i] >= '0' && field[i] <= '7'; ++i) {
+    stored = stored * 8 + static_cast<unsigned>(field[i] - '0');
+  }
+  if (i == digits_start) return false;
+  for (; i < HeaderLayout::chksum_len; ++i) {
+    if (field[i] != '\0' && field[i] != ' ') return false;
+  }
+  return stored == header_checksum(header);
+}
+
 void emit_header(std::string& out, std::string_view name, std::uint64_t size,
                  std::uint32_t mode, char typeflag, std::string_view linkname) {
   char header[kBlockSize];
@@ -59,11 +90,8 @@ void emit_header(std::string& out, std::string_view name, std::uint64_t size,
   std::memcpy(header + HeaderLayout::linkname, linkname.data(),
               std::min<std::size_t>(linkname.size(), HeaderLayout::linkname_len));
   std::memcpy(header + HeaderLayout::magic, "ustar\00000", 8);
-  // Checksum: sum of all bytes with the checksum field itself as spaces.
-  std::memset(header + HeaderLayout::chksum, ' ', HeaderLayout::chksum_len);
-  unsigned sum = 0;
-  for (char c : header) sum += static_cast<unsigned char>(c);
-  std::snprintf(header + HeaderLayout::chksum, HeaderLayout::chksum_len, "%06o", sum);
+  std::snprintf(header + HeaderLayout::chksum, HeaderLayout::chksum_len, "%06o",
+                header_checksum(header));
   header[HeaderLayout::chksum + 7] = ' ';
   out.append(header, kBlockSize);
 }
@@ -119,10 +147,14 @@ Result<vfs::Filesystem> unpack(std::string_view archive) {
   vfs::Filesystem tree;
   std::size_t offset = 0;
   std::string pending_long_name;
-  while (offset + kBlockSize <= archive.size()) {
+  while (true) {
+    // An archive cut at a member boundary must not read as a shorter tree:
+    // the end-of-archive zero block is required. pack() writes two; one is
+    // accepted, as other readers do.
+    if (offset + kBlockSize > archive.size()) {
+      return make_error(Errc::corrupt, "tar: missing end-of-archive block");
+    }
     const char* header = archive.data() + offset;
-    // Two consecutive zero blocks terminate the archive; one zero block is
-    // treated the same for robustness.
     bool all_zero = true;
     for (std::size_t i = 0; i < kBlockSize; ++i) {
       if (header[i] != '\0') {
@@ -131,6 +163,10 @@ Result<vfs::Filesystem> unpack(std::string_view archive) {
       }
     }
     if (all_zero) break;
+    if (!checksum_matches(header)) {
+      return make_error(Errc::corrupt,
+                        "tar: header checksum mismatch at offset " + std::to_string(offset));
+    }
     offset += kBlockSize;
 
     std::size_t name_length = strnlen(header + HeaderLayout::name, HeaderLayout::name_len);
@@ -179,6 +215,9 @@ Result<vfs::Filesystem> unpack(std::string_view archive) {
         return make_error(Errc::unsupported,
                           std::string("tar: unsupported typeflag '") + typeflag + "' for " + name);
     }
+  }
+  if (!pending_long_name.empty()) {
+    return make_error(Errc::corrupt, "tar: long name with no member: " + pending_long_name);
   }
   return tree;
 }

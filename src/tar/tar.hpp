@@ -20,7 +20,10 @@ namespace comt::tar {
 std::string pack(const vfs::Filesystem& tree);
 
 /// Parses a ustar archive produced by pack() (or compatible) back into a
-/// filesystem tree.
+/// filesystem tree. Damage reads as Errc::corrupt, never as a plausible
+/// tree: every header's checksum is checked, a member must fit in the
+/// archive, and the archive must end with a zero block (an archive cut at a
+/// member boundary has none).
 Result<vfs::Filesystem> unpack(std::string_view archive);
 
 }  // namespace comt::tar

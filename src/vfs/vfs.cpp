@@ -13,6 +13,11 @@ bool is_under(std::string_view path, std::string_view dir) {
   return path.size() > dir.size() && starts_with(path, dir) && path[dir.size()] == '/';
 }
 
+/// The last component of a normalized path, without allocating.
+std::string_view basename_view(std::string_view path) {
+  return path.substr(path.rfind('/') + 1);
+}
+
 std::string whiteout_path(std::string_view deleted) {
   return path_join(path_dirname(deleted),
                    std::string(kWhiteoutPrefix) + path_basename(deleted));
@@ -297,16 +302,21 @@ Status apply_layer(Filesystem& base, const Filesystem& layer) {
   // Pass 1: whiteouts and opaque markers.
   std::vector<std::string> whiteouts;
   std::vector<std::string> opaque_dirs;
-  layer.walk([&](const std::string& path, const Node&) {
-    std::string name = path_basename(path);
+  for (const auto& [path, node] : layer.nodes_) {
+    std::string_view name = basename_view(path);
     if (name == kOpaqueMarker) {
       opaque_dirs.push_back(path_dirname(path));
     } else if (starts_with(name, kWhiteoutPrefix)) {
       whiteouts.push_back(path_join(path_dirname(path),
                                     name.substr(kWhiteoutPrefix.size())));
     }
-    return true;
-  });
+  }
+  if (whiteouts.empty() && opaque_dirs.empty() && base.node_count() == 0) {
+    // Onto an empty root, a layer without markers yields exactly its own
+    // tree (every path's parents are in it): share the whole map.
+    base.nodes_ = layer.nodes_;
+    return Status::success();
+  }
   for (const std::string& dir : opaque_dirs) {
     if (base.is_directory(dir)) {
       COMT_TRY_STATUS(base.remove(dir));
@@ -317,38 +327,25 @@ Status apply_layer(Filesystem& base, const Filesystem& layer) {
     if (base.exists(victim)) COMT_TRY_STATUS(base.remove(victim));
   }
   // Pass 2: content. A regular file replacing a directory (or vice versa)
-  // first removes the old node, per overlay semantics.
-  Status failure = Status::success();
-  layer.walk([&](const std::string& path, const Node& node) {
-    std::string name = path_basename(path);
-    if (name == kOpaqueMarker || starts_with(name, kWhiteoutPrefix)) return true;
-    const Node* old = base.lookup(path);
-    if (old != nullptr && old->type != node.type) {
-      Status st = base.remove(path);
-      if (!st.ok()) {
-        failure = st;
-        return false;
-      }
+  // first removes the old node, per overlay semantics. Directories merge
+  // (an existing one keeps its mode); files and symlinks bind the layer's
+  // immutable node.
+  for (const auto& [path, node] : layer.nodes_) {
+    if (path == "/") continue;
+    std::string_view name = basename_view(path);
+    if (name == kOpaqueMarker || starts_with(name, kWhiteoutPrefix)) continue;
+    auto old = base.nodes_.find(path);
+    if (old != base.nodes_.end() && old->second->type != node->type) {
+      COMT_TRY_STATUS(base.remove(path));
     }
-    Status st = Status::success();
-    switch (node.type) {
-      case NodeType::directory:
-        st = base.make_directories(path, node.mode);
-        break;
-      case NodeType::regular:
-        st = base.write_file(path, node.content, node.mode);
-        break;
-      case NodeType::symlink:
-        st = base.make_symlink(path, node.content);
-        break;
+    if (node->type == NodeType::directory) {
+      COMT_TRY_STATUS(base.make_directories(path, node->mode));
+    } else {
+      COMT_TRY_STATUS(base.insert_parents(path));
+      base.nodes_[path] = node;
     }
-    if (!st.ok()) {
-      failure = st;
-      return false;
-    }
-    return true;
-  });
-  return failure;
+  }
+  return Status::success();
 }
 
 }  // namespace comt::vfs

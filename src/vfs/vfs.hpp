@@ -118,6 +118,9 @@ class Filesystem {
  private:
   using NodeRef = std::shared_ptr<const Node>;
 
+  // Binds the layer's own file and symlink nodes, as copy_from does.
+  friend Status apply_layer(Filesystem& base, const Filesystem& layer);
+
   static NodeRef make_node(NodeType type, std::string content, std::uint32_t mode);
   Status insert_parents(std::string_view path);
 
@@ -141,6 +144,9 @@ LayerDiff diff(const Filesystem& base, const Filesystem& target);
 /// Applies an OCI layer tree (with whiteout markers) on top of `base`,
 /// in place. This is the "POSIX file system simulator" role of §4.5: the
 /// final image filesystem is the fold of apply_layer over all layers.
+/// Regular files and symlinks are bound, not copied: afterwards `base`
+/// shares the layer's nodes, so applying an unpacked layer costs one
+/// pointer per path whatever its byte size.
 Status apply_layer(Filesystem& base, const Filesystem& layer);
 
 }  // namespace comt::vfs

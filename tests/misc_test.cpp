@@ -70,6 +70,28 @@ TEST(VfsEdgeTest, FileContentIsStoredAtExactSize) {
   EXPECT_TRUE(fs == same);
 }
 
+TEST(VfsEdgeTest, ApplyLayerBindsTheLayersFileAndSymlinkNodes) {
+  vfs::Filesystem base;
+  ASSERT_TRUE(base.write_file("/etc/conf", "old").ok());
+  ASSERT_TRUE(base.write_file("/gone", "x").ok());
+  vfs::Filesystem layer;
+  ASSERT_TRUE(layer.write_file("/etc/conf", "new", 0600).ok());
+  ASSERT_TRUE(layer.write_file("/bin/tool", std::string(4096, 't'), 0755).ok());
+  ASSERT_TRUE(layer.make_symlink("/bin/alias", "tool").ok());
+  ASSERT_TRUE(layer.write_file("/.wh.gone", "").ok());
+  ASSERT_TRUE(vfs::apply_layer(base, layer).ok());
+  for (const char* path : {"/etc/conf", "/bin/tool", "/bin/alias"}) {
+    EXPECT_EQ(base.lookup(path), layer.lookup(path)) << path;
+  }
+  EXPECT_EQ(base.read_file("/etc/conf").value(), "new");
+  EXPECT_EQ(base.read_file("/bin/alias").value(), std::string(4096, 't'));
+  EXPECT_FALSE(base.exists("/gone"));
+  EXPECT_FALSE(base.exists("/.wh.gone"));
+  // Writing through base replaces the node; the layer keeps its own.
+  ASSERT_TRUE(base.write_file("/bin/tool", "patched").ok());
+  EXPECT_EQ(layer.read_file("/bin/tool").value(), std::string(4096, 't'));
+}
+
 TEST(JsonEdgeTest, SerializationIsAFixedPoint) {
   for (const char* text :
        {"[0.5,1,100000,1e-05]", R"({"a":1,"b":[true,null]})", "[[[[[1]]]]]"}) {

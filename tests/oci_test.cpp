@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "oci/oci.hpp"
+#include "tar/tar.hpp"
 
 namespace comt::oci {
 namespace {
@@ -170,6 +174,215 @@ TEST(LayoutTest, ManifestJsonRoundTrip) {
   EXPECT_EQ(back.value().config.digest, image.value().manifest.config.digest);
   ASSERT_EQ(back.value().layers.size(), 1u);
   EXPECT_EQ(back.value().layers[0].digest, image.value().manifest.layers[0].digest);
+}
+
+// -- kept layer trees: copies share them, writes drop them -------------------
+
+/// The parity reference: the fold of apply_layer over tar::unpack of the
+/// bytes `layout` stores for each layer right now.
+Result<vfs::Filesystem> fold_of_stored_bytes(const Layout& layout, const Image& image) {
+  vfs::Filesystem root;
+  for (const Descriptor& layer : image.manifest.layers) {
+    COMT_TRY(std::string bytes, layout.get_blob(layer.digest));
+    COMT_TRY(vfs::Filesystem tree, tar::unpack(bytes));
+    COMT_TRY_STATUS(vfs::apply_layer(root, tree));
+  }
+  return root;
+}
+
+/// Same tree, or the same error code.
+void expect_same(const Result<vfs::Filesystem>& actual, const Result<vfs::Filesystem>& expected,
+                 const std::string& step) {
+  ASSERT_EQ(actual.ok(), expected.ok()) << step;
+  if (expected.ok()) {
+    EXPECT_TRUE(actual.value() == expected.value()) << step;
+  } else {
+    EXPECT_EQ(actual.error().code, expected.error().code) << step;
+  }
+}
+
+/// Two layers; the upper one carries a file whose bytes are easy to find in
+/// its tarball.
+Result<Image> two_layer_image(Layout& layout) {
+  vfs::Filesystem upper;
+  EXPECT_TRUE(upper.write_file("/marker", "upper-marker-payload").ok());
+  EXPECT_TRUE(upper.make_symlink("/link", "marker").ok());
+  return layout.create_image(sample_config(), {layer_tree("lower"), upper}, "two");
+}
+
+TEST(LayoutTest, FlattenMatchesANeverFlattenedLayoutThroughDamageHealAndRemove) {
+  Layout layout;
+  auto image = two_layer_image(layout);
+  ASSERT_TRUE(image.ok());
+  const Digest upper = image.value().manifest.layers.back().digest;
+  const std::string pristine = layout.get_blob(upper).value();
+  auto original = layout.flatten(image.value());  // keeps both trees
+  ASSERT_TRUE(original.ok());
+  ASSERT_EQ(original.value().read_file("/marker").value(), "upper-marker-payload");
+  const Layout before = layout;  // shares the kept trees
+
+  // A layout that never flattened, holding `layout`'s current bytes.
+  auto never_flattened = [&]() {
+    Layout fresh;
+    auto rebuilt = two_layer_image(fresh);
+    EXPECT_TRUE(rebuilt.ok());
+    EXPECT_EQ(rebuilt.value().manifest_digest, image.value().manifest_digest);
+    auto bytes = layout.get_blob(upper);
+    if (bytes.ok()) {
+      fresh.set_blob_bytes(upper, bytes.value());
+    } else {
+      fresh.remove_blob(upper);
+    }
+    return fresh.flatten(image.value());
+  };
+  auto check = [&](const std::string& step) {
+    auto flattened = layout.flatten(image.value());
+    expect_same(flattened, never_flattened(), step);
+    expect_same(flattened, fold_of_stored_bytes(layout, image.value()), step);
+    // The copy taken before the damage keeps its own bytes and view.
+    EXPECT_EQ(before.get_blob(upper).value(), pristine) << step;
+    expect_same(before.flatten(image.value()), original, step);
+  };
+
+  // Damage that still unpacks: a flipped payload byte reads as the damaged
+  // content, not as the kept tree.
+  std::string flipped = pristine;
+  const std::size_t payload = flipped.find("upper-marker-payload");
+  ASSERT_NE(payload, std::string::npos);
+  flipped[payload] = 'U';
+  layout.set_blob_bytes(upper, flipped);
+  check("flipped payload");
+  auto damaged = layout.flatten(image.value());
+  ASSERT_TRUE(damaged.ok());
+  EXPECT_EQ(damaged.value().read_file("/marker").value(), "Upper-marker-payload");
+
+  // Heal: re-putting the true content drops the tree kept from the damage.
+  layout.put_blob(pristine, kMediaTypeLayer);
+  check("healed from flipped");
+  expect_same(layout.flatten(image.value()), original, "healed vs original");
+
+  // Damage that does not unpack, then heal again.
+  layout.set_blob_bytes(upper, pristine.substr(0, 512));
+  check("truncated");
+  auto truncated = layout.flatten(image.value());
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.error().code, Errc::corrupt);
+  layout.put_blob(pristine, kMediaTypeLayer);
+  check("healed from truncated");
+
+  // Remove.
+  EXPECT_GT(layout.remove_blob(upper), 0u);
+  check("removed");
+  auto removed = layout.flatten(image.value());
+  ASSERT_FALSE(removed.ok());
+  EXPECT_EQ(removed.error().code, Errc::not_found);
+}
+
+TEST(LayoutTest, TornPutDropsTheKeptTree) {
+  Layout layout;
+  auto image = two_layer_image(layout);
+  ASSERT_TRUE(image.ok());
+  const Digest upper = image.value().manifest.layers.back().digest;
+  const std::string pristine = layout.get_blob(upper).value();
+  ASSERT_TRUE(layout.flatten(image.value()).ok());
+  support::FaultInjector faults;
+  faults.tear_next(kBlobPutSite);
+  layout.set_fault_injector(&faults);
+  EXPECT_THROW(layout.put_blob(pristine, kMediaTypeLayer), support::CrashInjected);
+  layout.set_fault_injector(nullptr);
+  auto torn = layout.flatten(image.value());
+  expect_same(torn, fold_of_stored_bytes(layout, image.value()), "torn");
+  EXPECT_FALSE(torn.ok());
+}
+
+TEST(LayoutTest, CopiesAreIsolatedFromEachOther) {
+  Layout source;
+  auto image = two_layer_image(source);
+  ASSERT_TRUE(image.ok());
+  const Digest lower = image.value().manifest.layers.front().digest;
+  const Digest upper = image.value().manifest.layers.back().digest;
+  auto original = source.flatten(image.value());
+  ASSERT_TRUE(original.ok());
+  const std::string upper_bytes = source.get_blob(upper).value();
+
+  // Mutates `target` and checks that `other` did not move.
+  auto mutate_and_check = [&](Layout& target, const Layout& other, const std::string& side) {
+    const Digest extra = target.put_blob("only on one side", "text/plain").digest;
+    target.set_blob_bytes(upper, upper_bytes.substr(0, 1024));
+    EXPECT_GT(target.remove_blob(lower), 0u);
+    EXPECT_FALSE(target.flatten(image.value()).ok());
+    EXPECT_FALSE(other.has_blob(extra)) << side;
+    EXPECT_TRUE(other.has_blob(lower)) << side;
+    EXPECT_EQ(other.get_blob(upper).value(), upper_bytes) << side;
+    expect_same(other.flatten(image.value()), original, side);
+    EXPECT_TRUE(other.fsck().ok()) << side;
+  };
+
+  Layout copy = source;
+  mutate_and_check(copy, source, "writes on the copy");
+  Layout second = source;
+  mutate_and_check(source, second, "writes on the source");
+}
+
+TEST(LayoutTest, CopyOfAnAttachedLayoutReadsCorrectBytes) {
+  Layout attached;
+  auto image = two_layer_image(attached);
+  ASSERT_TRUE(image.ok());
+  const Digest upper = image.value().manifest.layers.back().digest;
+  auto original = attached.flatten(image.value());  // keeps trees, until attach
+  ASSERT_TRUE(original.ok());
+  auto backend = std::make_shared<store::MemStore>();
+  ASSERT_TRUE(attached.attach(backend).ok());
+  expect_same(attached.flatten(image.value()), original, "attached");
+
+  Layout copy = attached;
+  for (const Digest& digest : attached.blob_digests()) {
+    EXPECT_EQ(copy.get_blob(digest).value(), attached.get_blob(digest).value());
+  }
+  expect_same(copy.flatten(image.value()), original, "copy");
+  EXPECT_TRUE(copy.fsck().ok());
+
+  // Another writer damages the backend: the attached layout sees it (it
+  // keeps no trees), its earlier copy does not.
+  const std::string key = "blobs/sha256/" + upper.value.substr(std::string("sha256:").size());
+  ASSERT_TRUE(backend->put(key, backend->get(key).value().substr(0, 512)).ok());
+  auto damaged = attached.flatten(image.value());
+  expect_same(damaged, fold_of_stored_bytes(attached, image.value()), "attached after damage");
+  EXPECT_FALSE(damaged.ok());
+  expect_same(copy.flatten(image.value()), original, "copy after damage");
+}
+
+TEST(LayoutTest, ConcurrentCopiesAndFlattensOfOneTemplate) {
+  Layout base;
+  std::vector<vfs::Filesystem> layers;
+  for (int i = 0; i < 4; ++i) {
+    vfs::Filesystem layer;
+    ASSERT_TRUE(layer.write_file("/generation", std::to_string(i)).ok());
+    ASSERT_TRUE(layer.write_file("/data/file" + std::to_string(i), std::string(3000, 'a' + i)).ok());
+    layers.push_back(std::move(layer));
+  }
+  auto image = base.create_image(sample_config(), layers, "template");
+  ASSERT_TRUE(image.ok());
+  auto expected = fold_of_stored_bytes(base, image.value());
+  ASSERT_TRUE(expected.ok());
+  const Layout template_layout = base;  // never flattened: the threads race to unpack
+
+  auto matches = [&](const Result<vfs::Filesystem>& rootfs) {
+    return rootfs.ok() && rootfs.value() == expected.value();
+  };
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 25; ++i) {
+        Layout copy = template_layout;
+        if (!matches(copy.flatten(image.value()))) ++mismatches;
+        if (!matches(template_layout.flatten(image.value()))) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // The paper's §4.5 file-system simulator: flattening multiple layers with

@@ -679,6 +679,18 @@ TEST(ServiceTest, AddSystemValidatesItsTarget) {
   no_sysenv.sysenv_tag = "ghost";
   EXPECT_FALSE(svc.add_system("x", no_sysenv).ok());
 
+  // A Sysenv whose bytes no longer match their digest is refused up front.
+  TargetSystem damaged = make_target();
+  auto sysenv = damaged.base_layout.find_image(damaged.sysenv_tag);
+  ASSERT_TRUE(sysenv.ok());
+  const oci::Digest layer = sysenv.value().manifest.layers.front().digest;
+  std::string bytes = damaged.base_layout.get_blob(layer).value();
+  bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x01);
+  damaged.base_layout.set_blob_bytes(layer, bytes);
+  auto refused = svc.add_system("x", damaged);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.error().code, Errc::corrupt);
+
   ASSERT_TRUE(svc.add_system("x", make_target()).ok());
   EXPECT_EQ(svc.add_system("x", make_target()).error().code, Errc::already_exists);
 }

@@ -92,6 +92,37 @@ TEST(MemStoreTest, HonoursKvContract) {
   exercise_kv_contract(kv);
 }
 
+TEST(MemStoreTest, CopySharesValuesButNotWrites) {
+  MemStore source;
+  ASSERT_TRUE(source.put("a", "alpha").ok());
+  ASSERT_TRUE(source.put("b", "beta").ok());
+  MemStore copy(source);
+  EXPECT_EQ(copy.list(), source.list());
+  EXPECT_EQ(copy.get("a").value(), "alpha");
+  EXPECT_EQ(copy.get("b").value(), "beta");
+
+  // Writes on the copy stay on the copy.
+  ASSERT_TRUE(copy.put("a", "changed").ok());
+  ASSERT_TRUE(copy.erase("b").ok());
+  ASSERT_TRUE(copy.put("c", "copy only").ok());
+  EXPECT_EQ(source.get("a").value(), "alpha");
+  EXPECT_EQ(source.get("b").value(), "beta");
+  EXPECT_FALSE(source.contains("c"));
+
+  // And the reverse.
+  ASSERT_TRUE(source.put("b", "source only").ok());
+  ASSERT_TRUE(source.erase("a").ok());
+  EXPECT_EQ(copy.get("a").value(), "changed");
+  EXPECT_FALSE(copy.contains("b"));
+  EXPECT_EQ(copy.size("c").value(), 9u);
+
+  // A copy of a copy honours the whole contract on its own.
+  MemStore empty;
+  MemStore fresh(empty);
+  exercise_kv_contract(fresh);
+  EXPECT_TRUE(empty.list().empty());
+}
+
 TEST_F(StoreDirTest, DiskStoreHonoursKvContract) {
   DiskStore kv(dir());
   exercise_kv_contract(kv);
