@@ -12,10 +12,11 @@
 # robustness SLOs: tenant fairness under a hot-tenant flood, zero lost
 # tickets, circuit-breaker recovery, and autoscaler convergence. A second build
 # under ThreadSanitizer reruns the concurrency layer
-# (scheduler — including the SchedStress lock-free deque/cache/epoch tests —
-# registry, rebuild service, obs tracing/metrics, and OCI layouts, whose
-# copies share blob buffers and unpacked layer trees across threads) and the
-# service + soak smoke benches. A third
+# (scheduler — including the SchedStress pool/cache/epoch tests —
+# registry, rebuild service, obs tracing/metrics, OCI layouts, whose
+# copies share blob buffers and unpacked layer trees across threads, and the
+# crash-resume sweep, whose 4-thread pass crashes the wave path from its
+# commit hook) and the service + soak smoke benches. A third
 # build under AddressSanitizer reruns the durability layer (write-ahead
 # journal, crash/torn-write injection, fsck/repair), SHA-256, vfs, the tar
 # parser's damage sweeps and OCI layouts, plus
@@ -77,11 +78,13 @@ if [ "${COMT_SKIP_TSAN:-0}" != "1" ]; then
   cmake -B "$tsan_dir" -S "$repo" -DCOMT_SANITIZE=thread
   cmake --build "$tsan_dir" -j "$jobs"
 
-  echo "== tsan test (concurrency layer, layouts) =="
+  echo "== tsan test (concurrency layer, layouts, crash resume) =="
   # Layout|Flatten: layout copies share blob buffers and kept layer trees,
   # and concurrent flattens of one layout race to keep the same tree.
+  # CrashResume: the sweep's 4-thread pass unwinds a wave-mode rebuild from
+  # its commit hook while the pool's workers are parked.
   ctest --test-dir "$tsan_dir" --output-on-failure -j "$jobs" \
-        -R 'Sched|SchedStress|ThreadPool|Dag|CompileCache|RegistryStress|Service|FaultInjector|Obs|Store|Fleet|Transfer|Layout|Flatten'
+        -R 'Sched|SchedStress|ThreadPool|Dag|CompileCache|RegistryStress|Service|FaultInjector|Obs|Store|Fleet|Transfer|Layout|Flatten|CrashResume'
 
   echo "== tsan bench smoke =="
   "$tsan_dir/bench/service_throughput" --smoke

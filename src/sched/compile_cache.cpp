@@ -1,5 +1,6 @@
 #include "sched/compile_cache.hpp"
 
+#include <mutex>
 #include <optional>
 
 #include "store/wire.hpp"
@@ -65,6 +66,14 @@ std::optional<CacheEntry> deserialize_entry(std::string_view encoded) {
   return entry;
 }
 
+/// True when every manifest input still has the digest recorded at store time.
+bool manifest_matches(const CacheEntry& entry, const CompileCache::DigestFn& digest_of) {
+  for (const auto& [path, digest] : entry.input_digests) {
+    if (digest_of(path) != digest) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string CacheKey::digest() const {
@@ -78,76 +87,44 @@ std::string CacheKey::digest() const {
   return Sha256::hex_digest(buffer);
 }
 
-std::uint64_t CompileCache::next_instance_id() {
-  static std::atomic<std::uint64_t> counter{0};
-  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-std::shared_ptr<const CompileCache::EntryMap> CompileCache::snapshot() const {
-  struct TlsSnapshot {
-    std::uint64_t instance = 0;  // instance ids are unique for the process
-    std::uint64_t version = 0;
-    std::shared_ptr<const EntryMap> map;
-  };
-  thread_local TlsSnapshot tls;
-  // Steady state (nobody stored since this thread last looked): one acquire
-  // load, no lock, no shared write. The cached map is immutable, so reading
-  // it is race-free even while a writer prepares the next snapshot.
-  const std::uint64_t version = version_.load(std::memory_order_acquire);
-  if (tls.instance == instance_id_ && tls.version == version) return tls.map;
-  std::lock_guard<std::mutex> lock(mutex_);
-  tls.instance = instance_id_;
-  tls.version = version_.load(std::memory_order_relaxed);
-  tls.map = published_;
-  return tls.map;
-}
-
 std::shared_ptr<const CacheEntry> CompileCache::fetch_remote(
     const std::string& key_digest) const {
   std::shared_ptr<store::KvStore> backing;
   std::string backing_key;
   {
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    if (backing_ == nullptr) return nullptr;
     backing = backing_;
     backing_key = prefix_ + key_digest;
   }
-  if (backing == nullptr) return nullptr;
   auto value = backing->get(backing_key);
   if (!value.ok()) return nullptr;
   std::optional<CacheEntry> entry = deserialize_entry(value.value());
   if (!entry.has_value()) return nullptr;  // torn/corrupt: degrade to a miss
-  auto shared = std::make_shared<const CacheEntry>(std::move(*entry));
-  // Adopt the entry locally so the next lookup hits without the round trip.
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto next = std::make_shared<EntryMap>(*published_);
-    (*next)[key_digest] = shared;
-    published_ = std::move(next);
-    version_.fetch_add(1, std::memory_order_release);
-  }
-  return shared;
+  return std::make_shared<const CacheEntry>(std::move(*entry));
 }
 
 std::shared_ptr<const CacheEntry> CompileCache::lookup(const std::string& key_digest,
                                                        const DigestFn& digest_of) const {
-  const std::shared_ptr<const EntryMap> view = snapshot();
   std::shared_ptr<const CacheEntry> candidate;
-  auto found = view->find(key_digest);
-  if (found != view->end()) candidate = found->second;
-  // Local miss → ask the backing store before giving up: another replica
-  // sharing the backing may have compiled this already.
-  bool from_remote = false;
-  if (!candidate) {
-    candidate = fetch_remote(key_digest);
-    from_remote = candidate != nullptr;
+  {
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    auto found = entries_.find(key_digest);
+    if (found != entries_.end()) candidate = found->second;
   }
-  // Verify the input manifest — digest_of may do real work, all lock-free.
-  if (candidate) {
-    for (const auto& [path, digest] : candidate->input_digests) {
-      if (digest_of(path) != digest) {
-        candidate = nullptr;
-        break;
-      }
+  // Verify the input manifest with no lock held: digest_of may do real work.
+  bool from_remote = false;
+  if (candidate == nullptr || !manifest_matches(*candidate, digest_of)) {
+    // Absent or stale locally: another replica sharing the backing may have
+    // stored the entry these inputs match.
+    candidate = fetch_remote(key_digest);
+    if (candidate != nullptr && manifest_matches(*candidate, digest_of)) {
+      from_remote = true;
+      // Adopt the entry locally so the next lookup hits without the round trip.
+      std::lock_guard<std::shared_mutex> lock(mutex_);
+      entries_[key_digest] = candidate;
+    } else {
+      candidate = nullptr;
     }
   }
   if (candidate) {
@@ -173,14 +150,8 @@ void CompileCache::store(const std::string& key_digest, CacheEntry entry) {
   std::shared_ptr<store::KvStore> backing;
   std::string backing_key;
   {
-    // Copy-update-republish under the writer mutex; the version bump tells
-    // readers their thread-local snapshot is stale. Concurrent lookups keep
-    // reading the old snapshot until they observe the new version.
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto next = std::make_shared<EntryMap>(*published_);
-    (*next)[key_digest] = shared;
-    published_ = std::move(next);
-    version_.fetch_add(1, std::memory_order_release);
+    std::lock_guard<std::shared_mutex> lock(mutex_);
+    entries_[key_digest] = shared;
     store_count_.fetch_add(1, std::memory_order_relaxed);
     if (obs::Counter* inserts = inserts_.load(std::memory_order_acquire)) {
       inserts->add();
@@ -196,11 +167,10 @@ void CompileCache::store(const std::string& key_digest, CacheEntry entry) {
 
 std::size_t CompileCache::attach(std::shared_ptr<store::KvStore> backing,
                                  std::string prefix) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::shared_mutex> lock(mutex_);
   backing_ = std::move(backing);
   prefix_ = std::move(prefix);
   if (backing_ == nullptr) return 0;
-  auto next = std::make_shared<EntryMap>(*published_);
   std::size_t recovered = 0;
   for (const store::KvEntry& persisted : backing_->list(prefix_)) {
     const std::string key = persisted.key.substr(prefix_.size());
@@ -217,20 +187,18 @@ std::size_t CompileCache::attach(std::shared_ptr<store::KvStore> backing,
       }
       continue;
     }
-    (*next)[key] = std::make_shared<const CacheEntry>(std::move(*entry));
+    entries_[key] = std::make_shared<const CacheEntry>(std::move(*entry));
     hydrated_count_.fetch_add(1, std::memory_order_relaxed);
     if (obs::Counter* hydrated = hydrated_.load(std::memory_order_acquire)) {
       hydrated->add();
     }
     ++recovered;
   }
-  published_ = std::move(next);
-  version_.fetch_add(1, std::memory_order_release);
   return recovered;
 }
 
 void CompileCache::set_metrics(obs::MetricsRegistry* metrics) {
-  std::lock_guard<std::mutex> lock(mutex_);
+  std::lock_guard<std::shared_mutex> lock(mutex_);
   if (metrics == nullptr) {
     hits_.store(nullptr, std::memory_order_release);
     misses_.store(nullptr, std::memory_order_release);
@@ -263,6 +231,9 @@ CacheStats CompileCache::stats() const {
   return out;
 }
 
-std::size_t CompileCache::size() const { return snapshot()->size(); }
+std::size_t CompileCache::size() const {
+  std::shared_lock<std::shared_mutex> lock(mutex_);
+  return entries_.size();
+}
 
 }  // namespace comt::sched

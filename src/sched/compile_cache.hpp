@@ -9,18 +9,13 @@
 // recompiles. Entries store the produced output blobs, so a hit replays the
 // outputs without running the toolchain at all.
 //
-// Concurrency model (RCU-style): the entry map is an immutable snapshot,
-// republished as a whole by every mutation. Each reader thread caches the
-// snapshot it last saw together with the cache's version stamp; lookup() —
-// the hot path, hit every compile job of a warm rebuild — validates the
-// cached snapshot with one atomic version load and proceeds with no lock
-// and no shared-memory write. Only when the version moved (someone stored)
-// does the reader take the writer mutex for one brief snapshot refresh.
-// Mutations (store, attach) copy-update-republish under the mutex; readers
-// holding an old snapshot keep it alive. (An atomic shared_ptr would be the
-// textbook publication primitive, but libstdc++'s implementation trips
-// ThreadSanitizer, and the version check is cheaper anyway.)
-// See docs/PERFORMANCE.md for why the hit path must be lock-free.
+// Concurrency: one std::shared_mutex over a plain std::map of immutable,
+// refcounted entries. lookup() — hit by every compile job of a warm rebuild
+// — holds it shared only to copy one entry pointer and verifies the manifest
+// with no lock held; store(), attach() and the adoption of a backing-store
+// entry hold it exclusive. A lookup racing a store() of the same key sees
+// the old or the new entry, and either is immutable. docs/PERFORMANCE.md §1
+// records the 4-thread measurement that chose this over lock-free snapshots.
 //
 // attach() bolts the cache onto a store::KvStore: every store() writes the
 // entry through under "cache/<key digest>" and attach itself hydrates the
@@ -34,7 +29,7 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -86,8 +81,8 @@ struct CacheStats {
 };
 
 /// Thread-safe in-memory compile cache shared by all jobs of a rebuild (and
-/// across rebuilds, when the caller keeps it alive). Lookups are lock-free;
-/// store/attach serialize on an internal writer mutex.
+/// across rebuilds, when the caller keeps it alive). Lookups share one
+/// reader-writer lock; store/attach take it exclusive.
 class CompileCache {
  public:
   /// Returns the current digest of `path` in the caller's filesystem, or an
@@ -97,24 +92,23 @@ class CompileCache {
   /// Looks up `key_digest`. On a candidate entry, re-digests every manifest
   /// input through `digest_of`; the entry only hits when all match. Returns
   /// the entry on a hit, nullptr on a miss. Counts one hit or one miss.
-  /// Steady-state lock-free: one atomic version load validates this thread's
-  /// cached snapshot; the mutex is touched only right after a store changed
-  /// the map. Concurrent store() calls are invisible to an in-flight lookup
-  /// (it reads the snapshot it started with).
+  /// The entry map's lock is held shared only while the candidate is found;
+  /// `digest_of` runs with no lock held.
   ///
-  /// When attached, a local miss falls back to the backing store before
-  /// giving up: an intact persisted entry (stored by another replica sharing
-  /// the backing, or by a store() this process has not re-read) is adopted
-  /// into the local map and, manifest permitting, served as a hit —
-  /// counted separately as CacheStats::remote_hits. This is what makes one
-  /// replica's compile warm every other replica in a fleet without
-  /// re-attaching.
+  /// When attached, a local miss — an absent key or a stale manifest — falls
+  /// back to the backing store before giving up: an intact persisted entry
+  /// (stored by another replica sharing the backing, or by a store() this
+  /// process has not re-read) whose manifest verifies is adopted into the
+  /// local map and served as a hit — counted separately as
+  /// CacheStats::remote_hits. This is what makes one replica's compile warm
+  /// every other replica in a fleet without re-attaching, including after a
+  /// source change another replica already compiled.
   std::shared_ptr<const CacheEntry> lookup(const std::string& key_digest,
                                            const DigestFn& digest_of) const;
 
   /// Stores (or replaces) the entry for `key_digest`. Counts one store.
   /// When attached, the entry also writes through to the backing store.
-  /// Takes the writer mutex; safe against concurrent lookups and stores.
+  /// Takes the lock exclusive; safe against concurrent lookups and stores.
   void store(const std::string& key_digest, CacheEntry entry);
 
   /// Backs the cache with `backing` under `prefix`: hydrates every intact
@@ -136,34 +130,22 @@ class CompileCache {
   /// Point-in-time counter snapshot (atomic reads, no lock).
   CacheStats stats() const;
 
-  /// Entries currently published.
+  /// Entries currently held.
   std::size_t size() const;
 
  private:
-  using EntryMap = std::map<std::string, std::shared_ptr<const CacheEntry>>;
-
-  static std::uint64_t next_instance_id();
-
-  /// This thread's view of the entry map: the cached snapshot when the
-  /// version stamp still matches (no lock), a mutex-protected refresh when
-  /// it moved. The returned map is immutable and refcounted.
-  std::shared_ptr<const EntryMap> snapshot() const;
-
-  /// Backing-store fallback for a local miss: fetches, verifies, and adopts
-  /// the persisted entry under `key_digest`, or nullptr when the backing has
-  /// no intact copy. Called from (const) lookup, hence the mutable state.
+  /// Fetches and checksum-verifies the persisted entry under `key_digest`;
+  /// nullptr when the cache is detached or the backing has no intact copy.
+  /// Does not verify the manifest and does not adopt.
   std::shared_ptr<const CacheEntry> fetch_remote(const std::string& key_digest) const;
 
-  // The current map, republished as a whole by every mutation under
-  // `mutex_`; `version_` bumps on each publish so readers can validate
-  // their thread-local snapshot with one atomic load. The map behind a
-  // published pointer is never mutated. Mutable: lookup() adopts
-  // backing-store entries on a local miss.
-  mutable std::shared_ptr<const EntryMap> published_ =
-      std::make_shared<const EntryMap>();     // guarded by mutex_
-  mutable std::atomic<std::uint64_t> version_{1};
-  const std::uint64_t instance_id_ = next_instance_id();  // never reused
-  mutable std::mutex mutex_;  // serializes store/attach/backing writes
+  // mutex_ guards the three members below. Readers (lookup, size) take it
+  // shared; store, attach and adoption take it exclusive. Entries are
+  // immutable once inserted. Mutable: lookup() adopts backing-store entries.
+  mutable std::shared_mutex mutex_;
+  mutable std::map<std::string, std::shared_ptr<const CacheEntry>> entries_;
+  std::shared_ptr<store::KvStore> backing_;
+  std::string prefix_;
 
   mutable std::atomic<std::uint64_t> hit_count_{0};
   mutable std::atomic<std::uint64_t> miss_count_{0};
@@ -172,8 +154,6 @@ class CompileCache {
   std::atomic<std::uint64_t> hydrated_count_{0};
   std::atomic<std::uint64_t> corrupt_count_{0};
 
-  std::shared_ptr<store::KvStore> backing_;  // guarded by mutex_
-  std::string prefix_;                       // guarded by mutex_
   // Resolved in set_metrics; atomic because lookups read them with no lock.
   mutable std::atomic<obs::Counter*> hits_{nullptr};
   mutable std::atomic<obs::Counter*> misses_{nullptr};

@@ -48,18 +48,16 @@ Result<ScheduleReport> DagScheduler::run(ThreadPool* pool, const ObsOptions& opt
     executed_count = &opts.metrics->counter(opts.metric_prefix + ".jobs.executed");
     failed_count = &opts.metrics->counter(opts.metric_prefix + ".jobs.failed");
     skipped_count = &opts.metrics->counter(opts.metric_prefix + ".jobs.skipped");
-    if (hooks != nullptr) {
-      epoch_count = &opts.metrics->counter(opts.metric_prefix + ".epochs");
-      epoch_jobs = &opts.metrics->histogram(opts.metric_prefix + ".epoch_jobs",
-                                            obs::default_batch_size_buckets());
-    }
+    epoch_count = &opts.metrics->counter(opts.metric_prefix + ".epochs");
+    epoch_jobs = &opts.metrics->histogram(opts.metric_prefix + ".epoch_jobs",
+                                          obs::default_batch_size_buckets());
   }
 
   // Resolve names to indices and validate edges.
   std::map<std::string, std::size_t> index;
   for (std::size_t i = 0; i < count; ++i) index[jobs_[i].id] = i;
   std::vector<std::vector<std::size_t>> dependents(count);
-  std::vector<std::size_t> indegree(count, 0);
+  std::vector<std::size_t> degree(count, 0);  // unresolved dependencies
   for (std::size_t i = 0; i < count; ++i) {
     for (const std::string& dep : jobs_[i].deps) {
       auto found = index.find(dep);
@@ -68,17 +66,16 @@ Result<ScheduleReport> DagScheduler::run(ThreadPool* pool, const ObsOptions& opt
                                                "' depends on unknown job '" + dep + "'");
       }
       dependents[found->second].push_back(i);
-      ++indegree[i];
+      ++degree[i];
     }
   }
 
   // Kahn's algorithm up front: a cycle must be an error, not a deadlock.
-  // The same pass computes wave levels (1 + longest dependency chain) for
-  // epoch mode — every job in a wave depends only on earlier waves, so one
-  // immutable snapshot per wave is always consistent.
+  // The same pass computes wave levels (1 + longest dependency chain) — every
+  // job in a wave depends only on earlier waves, so one immutable snapshot
+  // per wave is always consistent.
   std::vector<std::size_t> level(count, 0);
   {
-    std::vector<std::size_t> degree = indegree;
     std::queue<std::size_t> ready;
     for (std::size_t i = 0; i < count; ++i) {
       if (degree[i] == 0) ready.push(i);
@@ -110,222 +107,124 @@ Result<ScheduleReport> DagScheduler::run(ThreadPool* pool, const ObsOptions& opt
   report.jobs.resize(count);
   for (std::size_t i = 0; i < count; ++i) report.jobs[i].id = jobs_[i].id;
 
-  // Per-job dispatch latency: restarted when the job's last dependency
-  // resolves (greedy) or when its wave is dispatched (epoch), observed when
-  // its body starts.
-  std::vector<obs::Stopwatch> ready_at(count);
-
-  if (hooks != nullptr) {
-    // ---- Epoch / wave mode -------------------------------------------------
-    // Jobs grouped by level run as one batch between two barriers. No lock
-    // around a body: it writes only its own report slot, the shared counters
-    // are aggregated on the caller's thread at the barrier, and poison marks
-    // are read/written only between waves. A finished body takes the
-    // barrier's mutex once, to count down.
-    std::vector<std::vector<std::size_t>> waves;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (level[i] >= waves.size()) waves.resize(level[i] + 1);
-      waves[level[i]].push_back(i);  // ascending i: submission order per wave
-    }
-
-    std::vector<bool> poisoned(count, false);
-
-    auto run_body = [&](std::size_t job_index) {
-      if (ready_wait_ms != nullptr) {
-        ready_wait_ms->observe(ready_at[job_index].elapsed_ms());
-      }
-      const Job& job = jobs_[job_index];
-      obs::Span span = obs::maybe_span(opts.tracer, "job:" + job.id, opts.parent,
-                                       job.category.empty() ? opts.category : job.category);
-      const obs::Stopwatch job_clock;
-      Status status = job.fn();
-      JobOutcome& outcome = report.jobs[job_index];
-      outcome.status = std::move(status);
-      outcome.wall_ms = job_clock.elapsed_ms();
-      span.end();
-    };
-
-    for (const std::vector<std::size_t>& wave : waves) {
-      std::vector<std::size_t> runnable;
-      runnable.reserve(wave.size());
-      for (std::size_t job_index : wave) {
-        if (poisoned[job_index]) {
-          const Job& job = jobs_[job_index];
-          obs::Span span =
-              obs::maybe_span(opts.tracer, "job:" + job.id, opts.parent,
-                              job.category.empty() ? opts.category : job.category);
-          span.annotate("skipped", std::uint64_t{1});
-          span.end();
-          JobOutcome& outcome = report.jobs[job_index];
-          outcome.skipped = true;
-          outcome.status = make_error(Errc::failed, "sched: skipped '" + job.id +
-                                                        "': a dependency failed");
-          ++report.skipped;
-          if (skipped_count != nullptr) skipped_count->add();
-        } else {
-          runnable.push_back(job_index);
-        }
-      }
-
-      if (!runnable.empty()) {
-        if (hooks->begin) hooks->begin(report.epochs, runnable);
-        for (std::size_t job_index : runnable) ready_at[job_index].restart();
-
-        if (pool == nullptr) {
-          for (std::size_t job_index : runnable) run_body(job_index);
-        } else {
-          // The barrier lives on this stack frame. Each task counts down and
-          // notifies under the mutex, so this thread can only see zero once
-          // the last task is done with the mutex and condition variable.
-          std::size_t pending = runnable.size();
-          std::mutex wave_mutex;
-          std::condition_variable wave_done;
-          std::vector<std::function<void()>> tasks;
-          tasks.reserve(runnable.size());
-          for (std::size_t job_index : runnable) {
-            tasks.push_back([&, job_index] {
-              run_body(job_index);
-              std::lock_guard<std::mutex> lock(wave_mutex);
-              if (--pending == 0) wave_done.notify_all();
-            });
-          }
-          pool->submit_batch(std::move(tasks));
-          std::unique_lock<std::mutex> lock(wave_mutex);
-          wave_done.wait(lock, [&] { return pending == 0; });
-        }
-
-        std::vector<std::size_t> succeeded;
-        succeeded.reserve(runnable.size());
-        for (std::size_t job_index : runnable) {
-          if (report.jobs[job_index].status.ok()) succeeded.push_back(job_index);
-        }
-        if (hooks->commit) {
-          Status committed = hooks->commit(report.epochs, succeeded);
-          if (!committed.ok()) {
-            // The wave's outputs never landed: every "succeeded" body is in
-            // fact failed, and its dependents must not run.
-            for (std::size_t job_index : succeeded) {
-              report.jobs[job_index].status = committed;
-            }
-          }
-        }
-        for (std::size_t job_index : runnable) {
-          ++report.executed;
-          if (executed_count != nullptr) executed_count->add();
-          if (!report.jobs[job_index].status.ok()) {
-            ++report.failed;
-            if (failed_count != nullptr) failed_count->add();
-          }
-        }
-        ++report.epochs;
-        if (epoch_count != nullptr) epoch_count->add();
-        if (epoch_jobs != nullptr) epoch_jobs->observe(static_cast<double>(runnable.size()));
-      }
-
-      // Poison propagation happens between waves only — dependents are all
-      // in later waves, so no body ever races these flags.
-      for (std::size_t job_index : wave) {
-        const JobOutcome& outcome = report.jobs[job_index];
-        if (!outcome.status.ok()) {
-          for (std::size_t dependent : dependents[job_index]) {
-            poisoned[dependent] = true;
-          }
-        }
-      }
-    }
-
-    report.wall_ms = schedule_clock.elapsed_ms();
-    return report;
+  // Jobs grouped by level run as one batch between two barriers. No lock
+  // around a body: it writes only its own report slot, the shared counters
+  // are aggregated on the caller's thread at the barrier, and poison marks
+  // are read/written only between waves. A finished body takes the
+  // barrier's mutex once, to count down.
+  std::vector<std::vector<std::size_t>> waves;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (level[i] >= waves.size()) waves.resize(level[i] + 1);
+    waves[level[i]].push_back(i);  // ascending i: submission order per wave
   }
 
-  // ---- Greedy mode ---------------------------------------------------------
-  // Shared execution state. `waiting` counts unresolved dependencies; a job
-  // becomes ready at zero. `poisoned` marks jobs with a failed dependency.
-  std::mutex mutex;
-  std::condition_variable done_cv;
-  std::vector<std::size_t> waiting = indegree;
   std::vector<bool> poisoned(count, false);
-  std::size_t remaining = count;
+  // Per-job dispatch latency: restarted when the job's wave is dispatched,
+  // observed when its body starts.
+  std::vector<obs::Stopwatch> ready_at(count);
 
-  // Runs one ready job (or skips it), records its outcome, and returns the
-  // dependents this freed. This is the single execution path shared by the
-  // sequential and pooled modes, so both produce identical effects.
-  auto execute_one = [&](std::size_t job_index) -> std::vector<std::size_t> {
-    bool skip;
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      skip = poisoned[job_index];
-    }
+  auto run_body = [&](std::size_t job_index) {
     if (ready_wait_ms != nullptr) {
       ready_wait_ms->observe(ready_at[job_index].elapsed_ms());
     }
     const Job& job = jobs_[job_index];
     obs::Span span = obs::maybe_span(opts.tracer, "job:" + job.id, opts.parent,
                                      job.category.empty() ? opts.category : job.category);
-    Status status = Status::success();
-    double ms = 0;
-    if (skip) {
-      status = make_error(Errc::failed, "sched: skipped '" + job.id +
-                                            "': a dependency failed");
-      span.annotate("skipped", std::uint64_t{1});
-    } else {
-      const obs::Stopwatch job_clock;
-      status = job.fn();
-      ms = job_clock.elapsed_ms();
-    }
-    span.end();
-    std::vector<std::size_t> freed;
-    std::lock_guard<std::mutex> lock(mutex);
+    const obs::Stopwatch job_clock;
+    Status status = job.fn();
     JobOutcome& outcome = report.jobs[job_index];
-    outcome.status = status;
-    outcome.skipped = skip;
-    outcome.wall_ms = ms;
-    if (skip) {
-      ++report.skipped;
-      if (skipped_count != nullptr) skipped_count->add();
-    } else {
-      ++report.executed;
-      if (executed_count != nullptr) executed_count->add();
-      if (!status.ok()) {
-        ++report.failed;
-        if (failed_count != nullptr) failed_count->add();
-      }
-    }
-    bool ok = status.ok() && !skip;
-    for (std::size_t dependent : dependents[job_index]) {
-      if (!ok) poisoned[dependent] = true;
-      if (--waiting[dependent] == 0) {
-        ready_at[dependent].restart();
-        freed.push_back(dependent);
-      }
-    }
-    if (--remaining == 0) done_cv.notify_all();
-    return freed;
+    outcome.status = std::move(status);
+    outcome.wall_ms = job_clock.elapsed_ms();
+    span.end();
   };
 
-  std::vector<std::size_t> frontier;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (indegree[i] == 0) frontier.push_back(i);
-  }
-
-  if (pool == nullptr) {
-    // Inline: an explicit worklist instead of recursion, FIFO order.
-    std::deque<std::size_t> worklist(frontier.begin(), frontier.end());
-    while (!worklist.empty()) {
-      std::size_t job = worklist.front();
-      worklist.pop_front();
-      for (std::size_t next : execute_one(job)) worklist.push_back(next);
+  for (const std::vector<std::size_t>& wave : waves) {
+    std::vector<std::size_t> runnable;
+    runnable.reserve(wave.size());
+    for (std::size_t job_index : wave) {
+      if (poisoned[job_index]) {
+        const Job& job = jobs_[job_index];
+        obs::Span span =
+            obs::maybe_span(opts.tracer, "job:" + job.id, opts.parent,
+                            job.category.empty() ? opts.category : job.category);
+        span.annotate("skipped", std::uint64_t{1});
+        span.end();
+        JobOutcome& outcome = report.jobs[job_index];
+        outcome.skipped = true;
+        outcome.status = make_error(Errc::failed, "sched: skipped '" + job.id +
+                                                      "': a dependency failed");
+        ++report.skipped;
+        if (skipped_count != nullptr) skipped_count->add();
+      } else {
+        runnable.push_back(job_index);
+      }
     }
-  } else {
-    // Pooled: completion dispatches the freed dependents back into the pool.
-    std::function<void(std::size_t)> submit_job = [&](std::size_t job_index) {
-      pool->submit([&submit_job, &execute_one, job_index] {
-        for (std::size_t next : execute_one(job_index)) submit_job(next);
-      });
-    };
-    for (std::size_t job : frontier) submit_job(job);
-    std::unique_lock<std::mutex> lock(mutex);
-    done_cv.wait(lock, [&] { return remaining == 0; });
+
+    if (!runnable.empty()) {
+      if (hooks != nullptr && hooks->begin) hooks->begin(report.epochs, runnable);
+      for (std::size_t job_index : runnable) ready_at[job_index].restart();
+
+      if (pool == nullptr) {
+        for (std::size_t job_index : runnable) run_body(job_index);
+      } else {
+        // The barrier lives on this stack frame. Each task counts down and
+        // notifies under the mutex, so this thread can only see zero once
+        // the last task is done with the mutex and condition variable.
+        std::size_t pending = runnable.size();
+        std::mutex wave_mutex;
+        std::condition_variable wave_done;
+        std::vector<std::function<void()>> tasks;
+        tasks.reserve(runnable.size());
+        for (std::size_t job_index : runnable) {
+          tasks.push_back([&, job_index] {
+            run_body(job_index);
+            std::lock_guard<std::mutex> lock(wave_mutex);
+            if (--pending == 0) wave_done.notify_all();
+          });
+        }
+        pool->submit_batch(std::move(tasks));
+        std::unique_lock<std::mutex> lock(wave_mutex);
+        wave_done.wait(lock, [&] { return pending == 0; });
+      }
+
+      std::vector<std::size_t> succeeded;
+      succeeded.reserve(runnable.size());
+      for (std::size_t job_index : runnable) {
+        if (report.jobs[job_index].status.ok()) succeeded.push_back(job_index);
+      }
+      if (hooks != nullptr && hooks->commit) {
+        Status committed = hooks->commit(report.epochs, succeeded);
+        if (!committed.ok()) {
+          // The wave's outputs never landed: every "succeeded" body is in
+          // fact failed, and its dependents must not run.
+          for (std::size_t job_index : succeeded) {
+            report.jobs[job_index].status = committed;
+          }
+        }
+      }
+      for (std::size_t job_index : runnable) {
+        ++report.executed;
+        if (executed_count != nullptr) executed_count->add();
+        if (!report.jobs[job_index].status.ok()) {
+          ++report.failed;
+          if (failed_count != nullptr) failed_count->add();
+        }
+      }
+      ++report.epochs;
+      if (epoch_count != nullptr) epoch_count->add();
+      if (epoch_jobs != nullptr) epoch_jobs->observe(static_cast<double>(runnable.size()));
+    }
+
+    // Poison propagation happens between waves only — dependents are all
+    // in later waves, so no body ever races these flags.
+    for (std::size_t job_index : wave) {
+      const JobOutcome& outcome = report.jobs[job_index];
+      if (!outcome.status.ok()) {
+        for (std::size_t dependent : dependents[job_index]) {
+          poisoned[dependent] = true;
+        }
+      }
+    }
   }
 
   report.wall_ms = schedule_clock.elapsed_ms();

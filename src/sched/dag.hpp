@@ -9,18 +9,14 @@
 // regardless of completion order, which is what makes parallel rebuilds
 // reproducible job-for-job.
 //
-// Two execution modes share the validation and reporting machinery:
-//
-//  * Greedy (hooks == nullptr): each completed job immediately dispatches the
-//    dependents it freed. Maximum overlap, per-job completion bookkeeping.
-//  * Epoch / wave (hooks != nullptr): the DAG is partitioned into waves
-//    (wave(i) = 1 + max over dependencies), every job inside a wave is
-//    mutually independent, and the whole wave is dispatched as one batch.
-//    EpochHooks::begin runs once per wave before dispatch and
-//    EpochHooks::commit once after the wave barrier — both on the run()
-//    caller's thread — which is what lets the rebuild engine share one
-//    immutable rootfs snapshot per wave and batch all output commits
-//    instead of locking per job (see docs/PERFORMANCE.md).
+// Execution runs in waves: the DAG is partitioned by level (wave(i) = 1 +
+// max over dependencies), every job inside a wave is mutually independent,
+// and the whole wave is dispatched as one pool batch, or run inline in
+// submission order when there is no pool. Optional EpochHooks::begin runs
+// once per wave before dispatch and EpochHooks::commit once after the wave
+// barrier — both on the run() caller's thread — which is what lets the
+// rebuild engine share one immutable rootfs snapshot per wave and batch all
+// output commits instead of locking per job (see docs/PERFORMANCE.md).
 #pragma once
 
 #include <cstdint>
@@ -52,7 +48,7 @@ struct ScheduleReport {
   std::size_t executed = 0;      ///< job bodies that ran (succeeded or failed)
   std::size_t failed = 0;        ///< executed bodies that returned an error
   std::size_t skipped = 0;       ///< jobs never run because a dependency failed
-  std::size_t epochs = 0;        ///< waves dispatched (0 in greedy mode)
+  std::size_t epochs = 0;        ///< waves with at least one body to run
   double wall_ms = 0;            ///< schedule wall time
 
   /// Error of the first failed/skipped job in submission order, or success.
@@ -67,13 +63,13 @@ struct ObsOptions {
   std::string category = "compile";    ///< span category (per-job override wins)
   obs::MetricsRegistry* metrics = nullptr;  ///< sink for the counters below
   /// Metric namespace: "<prefix>.ready_wait_ms" (dispatch latency histogram),
-  /// "<prefix>.jobs.{executed,failed,skipped}" counters, and in epoch mode
-  /// "<prefix>.epochs" (waves dispatched) plus "<prefix>.epoch_jobs"
-  /// (jobs-per-wave histogram — low values mean a serial DAG, not a slow pool).
+  /// "<prefix>.jobs.{executed,failed,skipped}" counters, "<prefix>.epochs"
+  /// (waves dispatched) and "<prefix>.epoch_jobs" (jobs-per-wave histogram —
+  /// low values mean a serial DAG, not a slow pool).
   std::string metric_prefix = "sched";
 };
 
-/// Wave lifecycle callbacks for epoch mode. Both hooks run on the thread that
+/// Wave lifecycle callbacks for one run. Both hooks run on the thread that
 /// called run() — never on a pool worker — so they may touch state the job
 /// bodies only read. Either may be empty.
 struct EpochHooks {
@@ -106,19 +102,16 @@ class DagScheduler {
   /// Jobs registered so far.
   std::size_t job_count() const { return jobs_.size(); }
 
-  /// Executes the graph. With a pool, independent jobs run concurrently;
-  /// with `pool == nullptr` jobs run inline on the calling thread, in
-  /// topological submission order — the same code path either way, so both
-  /// modes produce identical filesystem effects. Fails without running
-  /// anything when the graph has an unknown dependency or a cycle.
+  /// Executes the graph wave by wave, with a barrier (and the hook calls)
+  /// between waves. With a pool, a wave's bodies run concurrently; with
+  /// `pool == nullptr` they run inline on the calling thread, in submission
+  /// order. Either way outcomes land in submission order. Fails without
+  /// running anything when the graph has an unknown dependency or a cycle.
   /// A failed job skips its transitive dependents; independent jobs still
   /// run (make -k semantics, so one bad unit doesn't hide other errors).
   /// With ObsOptions attached, every job — executed or skipped — emits
-  /// exactly one span, so span count always equals job_count().
-  ///
-  /// Passing `hooks` selects epoch mode: jobs run wave-by-wave with a barrier
-  /// (and the hook calls) between waves. Within a wave, outcomes land in
-  /// submission order; with `pool == nullptr` the wave bodies run inline.
+  /// exactly one span, so span count always equals job_count(). `hooks` is
+  /// optional: without it no begin/commit call is made.
   Result<ScheduleReport> run(ThreadPool* pool, const ObsOptions& opts = {},
                              const EpochHooks* hooks = nullptr);
 

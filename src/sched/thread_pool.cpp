@@ -1,129 +1,15 @@
 #include "sched/thread_pool.hpp"
 
+#include <algorithm>
+#include <string>
+
 namespace comt::sched {
-namespace {
-
-/// Rounds an idle worker rescans (with yields) before parking. Parking costs
-/// two lock acquisitions and a syscall-grade wakeup; a short spin absorbs the
-/// inter-job gaps of a busy schedule without ever touching a lock.
-constexpr int kSpinRounds = 32;
-
-/// How many extra injected tasks a worker moves into its own deque per
-/// injection-queue visit — one lock acquisition amortized over the chunk,
-/// and the surplus becomes lock-free steal targets for siblings.
-constexpr std::size_t kInjectChunk = 16;
-
-/// Identifies the pool (and worker slot) the current thread belongs to, so
-/// submit() from a worker can use the lock-free own-deque path.
-struct WorkerIdentity {
-  ThreadPool* pool = nullptr;
-  std::size_t index = 0;
-};
-thread_local WorkerIdentity tls_worker;
-
-}  // namespace
-
-namespace detail {
-
-StealDeque::Ring::Ring(std::int64_t cap)
-    : capacity(cap), slots(new std::atomic<Task*>[cap]()) {}
-
-StealDeque::StealDeque() {
-  retired_.push_back(std::make_unique<Ring>(64));
-  ring_.store(retired_.back().get(), std::memory_order_relaxed);
-}
-
-StealDeque::~StealDeque() {
-  // No concurrency by the time a deque dies; drop whatever was never taken.
-  const std::int64_t top = top_.load(std::memory_order_relaxed);
-  const std::int64_t bottom = bottom_.load(std::memory_order_relaxed);
-  Ring* ring = ring_.load(std::memory_order_relaxed);
-  for (std::int64_t i = top; i < bottom; ++i) delete ring->get(i);
-}
-
-StealDeque::Ring* StealDeque::grow(Ring* ring, std::int64_t top, std::int64_t bottom) {
-  auto bigger = std::make_unique<Ring>(ring->capacity * 2);
-  for (std::int64_t i = top; i < bottom; ++i) bigger->put(i, ring->get(i));
-  Ring* raw = bigger.get();
-  retired_.push_back(std::move(bigger));
-  ring_.store(raw, std::memory_order_release);
-  return raw;
-}
-
-void StealDeque::push(Task task) {
-  Task* heap = new Task(std::move(task));
-  const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-  const std::int64_t t = top_.load(std::memory_order_acquire);
-  Ring* ring = ring_.load(std::memory_order_relaxed);
-  if (b - t > ring->capacity - 1) ring = grow(ring, t, b);
-  ring->put(b, heap);
-  // The release publishes the slot (and the Task it points at) to thieves.
-  bottom_.store(b + 1, std::memory_order_release);
-}
-
-StealDeque::Task StealDeque::pop() {
-  const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-  Ring* ring = ring_.load(std::memory_order_relaxed);
-  // seq_cst store/load pair: the reservation of slot b must be globally
-  // ordered against a thief's top/bottom reads (Chase–Lev's one subtle race).
-  bottom_.store(b, std::memory_order_seq_cst);
-  std::int64_t t = top_.load(std::memory_order_seq_cst);
-  Task* task = nullptr;
-  if (t <= b) {
-    task = ring->get(b);
-    if (t == b) {
-      // Last element: race the thieves for it.
-      if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                        std::memory_order_relaxed)) {
-        task = nullptr;  // a thief won
-      }
-      bottom_.store(b + 1, std::memory_order_relaxed);
-    }
-  } else {
-    bottom_.store(b + 1, std::memory_order_relaxed);  // deque was empty
-  }
-  if (task == nullptr) return {};
-  Task out = std::move(*task);
-  delete task;
-  return out;
-}
-
-StealDeque::Task StealDeque::steal() {
-  std::int64_t t = top_.load(std::memory_order_seq_cst);
-  const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-  if (t >= b) return {};
-  Ring* ring = ring_.load(std::memory_order_acquire);
-  Task* task = ring->get(t);
-  // Claim index t. Failure means the owner popped it or another thief beat
-  // us; either way the caller just rescans. Claiming before use is also what
-  // makes the slot read ABA-safe: the owner can only recycle slot t after
-  // top has advanced past it, and top never goes backwards.
-  if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                    std::memory_order_relaxed)) {
-    return {};
-  }
-  Task out = std::move(*task);
-  delete task;
-  return out;
-}
-
-bool StealDeque::empty() const {
-  return top_.load(std::memory_order_relaxed) >= bottom_.load(std::memory_order_relaxed);
-}
-
-}  // namespace detail
 
 ThreadPool::ThreadPool(std::size_t threads, std::size_t max_threads) {
   if (threads == 0) threads = 1;
   if (max_threads < threads) max_threads = threads;
-  // Every slot a future resize() could activate exists from the start, so
-  // take()'s scan and submit()'s index never race a vector reallocation.
-  queues_.reserve(max_threads);
-  for (std::size_t i = 0; i < max_threads; ++i) {
-    queues_.push_back(std::make_unique<Worker>());
-  }
   workers_.resize(max_threads);
-  active_target_.store(threads, std::memory_order_release);
+  target_ = threads;
   for (std::size_t i = 0; i < threads; ++i) {
     workers_[i] = std::thread([this, i] { worker_loop(i); });
   }
@@ -131,40 +17,44 @@ ThreadPool::ThreadPool(std::size_t threads, std::size_t max_threads) {
 
 ThreadPool::~ThreadPool() { shutdown(); }
 
+std::size_t ThreadPool::size() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return target_;
+}
+
 void ThreadPool::resize(std::size_t threads) {
-  if (threads == 0) threads = 1;
-  if (threads > queues_.size()) threads = queues_.size();
+  threads = std::clamp<std::size_t>(threads, 1, workers_.size());
   std::lock_guard<std::mutex> resize(resize_mutex_);
-  if (stopping_.load(std::memory_order_acquire)) return;
-  const std::size_t current = active_target_.load(std::memory_order_acquire);
-  if (threads == current) return;
-  if (threads > current) {
-    // A slot between the old and new target may still hold a thread from an
-    // earlier shrink; it is exiting (its index was >= the old target), so the
-    // join is bounded by its final task.
-    for (std::size_t i = current; i < threads; ++i) {
-      if (workers_[i].joinable()) workers_[i].join();
-    }
-    active_target_.store(threads, std::memory_order_release);
-    for (std::size_t i = current; i < threads; ++i) {
-      workers_[i] = std::thread([this, i] { worker_loop(i); });
-    }
-  } else {
-    active_target_.store(threads, std::memory_order_release);
+  std::size_t current = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_ || threads == target_) return;
+    current = target_;
+    if (threads < current) target_ = threads;
   }
-  // Wake everyone: retirees parked on the condition variable must observe the
-  // new target and exit; survivors must rescan so tasks left in a retiree's
-  // deque are stolen rather than stranded until the next submission.
-  work_epoch_.fetch_add(1, std::memory_order_release);
-  std::lock_guard<std::mutex> park(park_mutex_);
-  work_available_.notify_all();
+  if (threads < current) {
+    wake_.notify_all();  // waiting retirees must see the new target and exit
+    return;
+  }
+  // A slot between the old and new target may still hold a thread from an
+  // earlier shrink. It is exiting (its index is >= target_, which stays
+  // below it until after this join), so the join is bounded by its last task.
+  for (std::size_t i = current; i < threads; ++i) {
+    if (workers_[i].joinable()) workers_[i].join();
+  }
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    target_ = threads;
+  }
+  for (std::size_t i = current; i < threads; ++i) {
+    workers_[i] = std::thread([this, i] { worker_loop(i); });
+  }
 }
 
 void ThreadPool::set_metrics(obs::MetricsRegistry* metrics, std::string_view prefix) {
   if (metrics == nullptr) {
     queue_wait_ms_.store(nullptr, std::memory_order_release);
     task_counter_.store(nullptr, std::memory_order_release);
-    steal_counter_.store(nullptr, std::memory_order_release);
     park_counter_.store(nullptr, std::memory_order_release);
     return;
   }
@@ -174,8 +64,6 @@ void ThreadPool::set_metrics(obs::MetricsRegistry* metrics, std::string_view pre
                        std::memory_order_release);
   task_counter_.store(&metrics->counter(std::string(prefix) + ".tasks"),
                       std::memory_order_release);
-  steal_counter_.store(&metrics->counter(std::string(prefix) + ".steals"),
-                       std::memory_order_release);
   park_counter_.store(&metrics->counter(std::string(prefix) + ".parks"),
                       std::memory_order_release);
 }
@@ -191,149 +79,66 @@ std::function<void()> ThreadPool::instrument(std::function<void()> task) {
   };
 }
 
-void ThreadPool::notify_work(std::size_t tasks) {
-  if (tasks == 0) return;
-  work_epoch_.fetch_add(1, std::memory_order_release);
-  if (sleepers_.load(std::memory_order_acquire) > 0) {
-    std::lock_guard<std::mutex> park(park_mutex_);
-    work_available_.notify_all();
-  }
-}
-
 void ThreadPool::submit(std::function<void()> task) {
-  if (stopping_.load(std::memory_order_acquire)) return;
   task = instrument(std::move(task));
-  outstanding_.fetch_add(1, std::memory_order_relaxed);
-  if (tls_worker.pool == this) {
-    // Lock-free fast path: a task spawned by a pool task lands in the
-    // spawning worker's own deque; siblings steal it if the worker is busy.
-    queues_[tls_worker.index]->deque.push(std::move(task));
-  } else {
-    std::lock_guard<std::mutex> lock(inject_mutex_);
-    injected_.push_back(std::move(task));
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_) return;
+    queue_.push_back(std::move(task));
+    ++outstanding_;
   }
-  notify_work(1);
+  wake_.notify_one();
 }
 
 void ThreadPool::submit_batch(std::vector<std::function<void()>> tasks) {
-  if (tasks.empty() || stopping_.load(std::memory_order_acquire)) return;
-  outstanding_.fetch_add(static_cast<std::int64_t>(tasks.size()),
-                         std::memory_order_relaxed);
+  if (tasks.empty()) return;
+  for (auto& task : tasks) task = instrument(std::move(task));
   {
-    std::lock_guard<std::mutex> lock(inject_mutex_);
-    for (auto& task : tasks) injected_.push_back(instrument(std::move(task)));
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_) return;
+    for (auto& task : tasks) queue_.push_back(std::move(task));
+    outstanding_ += tasks.size();
   }
-  notify_work(tasks.size());
-}
-
-std::function<void()> ThreadPool::take_injected(std::size_t self) {
-  std::lock_guard<std::mutex> lock(inject_mutex_);
-  if (injected_.empty()) return {};
-  std::function<void()> task = std::move(injected_.front());
-  injected_.pop_front();
-  // Amortize the lock: carry a chunk into our own deque, where we pop it
-  // lock-free and idle siblings steal it lock-free.
-  for (std::size_t moved = 0; moved < kInjectChunk && !injected_.empty(); ++moved) {
-    queues_[self]->deque.push(std::move(injected_.front()));
-    injected_.pop_front();
-  }
-  return task;
-}
-
-std::function<void()> ThreadPool::take(std::size_t self) {
-  if (auto task = queues_[self]->deque.pop()) return task;
-  if (auto task = take_injected(self)) return task;
-  for (std::size_t offset = 1; offset < queues_.size(); ++offset) {
-    if (auto task = queues_[(self + offset) % queues_.size()]->deque.steal()) {
-      if (obs::Counter* steals = steal_counter_.load(std::memory_order_acquire)) {
-        steals->add();
-      }
-      return task;
-    }
-  }
-  return {};
-}
-
-void ThreadPool::finish_task() {
-  executed_.fetch_add(1, std::memory_order_relaxed);
-  if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    // Last task out: take the idle lock so a concurrent wait_idle() cannot
-    // miss the notification between its predicate check and its wait.
-    std::lock_guard<std::mutex> idle(idle_mutex_);
-    all_done_.notify_all();
-  }
+  wake_.notify_all();
 }
 
 void ThreadPool::worker_loop(std::size_t self) {
-  tls_worker = {this, self};
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    if (stopping_.load(std::memory_order_acquire)) break;
-    // Park-and-retire: a shrink moved the target below this slot. Exit after
-    // the current task; anything left in this slot's deque stays stealable
-    // by the surviving workers (resize woke them to rescan).
-    if (self >= active_target_.load(std::memory_order_acquire)) break;
-    if (auto task = take(self)) {
-      task();
-      finish_task();
-      continue;
-    }
-    // Spin briefly before parking: most idle gaps are a sibling finishing
-    // the task that frees ours.
-    bool found = false;
-    for (int round = 0; round < kSpinRounds && !found; ++round) {
-      std::this_thread::yield();
-      if (stopping_.load(std::memory_order_acquire)) break;
-      if (auto task = take(self)) {
-        task();
-        finish_task();
-        found = true;
+    // Stop, or retire after a shrink moved the target below this slot.
+    if (stopping_ || self >= target_) return;
+    if (queue_.empty()) {
+      if (obs::Counter* parks = park_counter_.load(std::memory_order_acquire)) {
+        parks->add();
       }
-    }
-    if (found || stopping_.load(std::memory_order_acquire)) continue;
-    // Park. The epoch read precedes the final rescan: any submission after
-    // the rescan bumps the epoch, so either we see its work or we see the
-    // epoch move and skip the wait.
-    const std::uint64_t epoch = work_epoch_.load(std::memory_order_acquire);
-    if (auto task = take(self)) {
-      task();
-      finish_task();
+      wake_.wait(lock, [this, self] {
+        return stopping_ || self >= target_ || !queue_.empty();
+      });
       continue;
     }
-    std::unique_lock<std::mutex> park(park_mutex_);
-    if (stopping_.load(std::memory_order_acquire) ||
-        work_epoch_.load(std::memory_order_acquire) != epoch) {
-      continue;
-    }
-    sleepers_.fetch_add(1, std::memory_order_release);
-    if (obs::Counter* parks = park_counter_.load(std::memory_order_acquire)) {
-      parks->add();
-    }
-    work_available_.wait(park, [this, epoch, self] {
-      return stopping_.load(std::memory_order_acquire) ||
-             self >= active_target_.load(std::memory_order_acquire) ||
-             work_epoch_.load(std::memory_order_acquire) != epoch;
-    });
-    sleepers_.fetch_sub(1, std::memory_order_release);
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    task();
+    task = nullptr;  // release the task's captures before counting it done
+    lock.lock();
+    executed_.fetch_add(1, std::memory_order_relaxed);
+    if (--outstanding_ == 0) idle_.notify_all();
   }
-  tls_worker = {};
 }
 
 void ThreadPool::wait_idle() {
-  std::unique_lock<std::mutex> idle(idle_mutex_);
-  all_done_.wait(idle, [this] {
-    return outstanding_.load(std::memory_order_acquire) <= 0;
-  });
+  std::unique_lock<std::mutex> lock(mutex_);
+  idle_.wait(lock, [this] { return outstanding_ == 0; });
 }
 
 void ThreadPool::shutdown() {
-  bool expected = false;
-  if (!stopping_.compare_exchange_strong(expected, true, std::memory_order_acq_rel)) {
-    return;
-  }
   {
-    std::lock_guard<std::mutex> park(park_mutex_);
-    work_available_.notify_all();
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (stopping_) return;
+    stopping_ = true;
   }
+  wake_.notify_all();
   // The resize lock orders this join after any in-flight resize: a resize
   // that already passed its stopping_ check finishes spawning before we
   // join, and every later resize sees stopping_ and no-ops.
@@ -341,20 +146,16 @@ void ThreadPool::shutdown() {
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }
-  // Single-threaded from here: discard unstarted work so wait_idle() callers
-  // blocked on it are released — shutdown under pending work never hangs.
-  std::int64_t discarded = 0;
+  // Discard unstarted work so wait_idle() callers blocked on it are
+  // released — shutdown under pending work never hangs. The discarded tasks
+  // are destroyed outside the lock.
+  std::deque<std::function<void()>> discarded;
   {
-    std::lock_guard<std::mutex> lock(inject_mutex_);
-    discarded += static_cast<std::int64_t>(injected_.size());
-    injected_.clear();
+    std::lock_guard<std::mutex> lock(mutex_);
+    discarded.swap(queue_);
+    outstanding_ -= discarded.size();
   }
-  for (const auto& worker : queues_) {
-    while (worker->deque.steal()) ++discarded;
-  }
-  if (discarded != 0) outstanding_.fetch_sub(discarded, std::memory_order_acq_rel);
-  std::lock_guard<std::mutex> idle(idle_mutex_);
-  all_done_.notify_all();
+  idle_.notify_all();
 }
 
 }  // namespace comt::sched

@@ -1,19 +1,16 @@
-// Work-stealing thread pool backing the parallel rebuild engine.
+// Thread pool backing the parallel rebuild engine and the rebuild service's
+// per-system workers.
 //
-// Each worker owns a Chase–Lev deque: it pushes and pops its own work at the
-// bottom without synchronization against itself, and idle workers steal from
-// the top of sibling deques with a single compare-and-swap — the entire
-// task-to-task hot path is lock-free. Submissions from pool threads go
-// straight into the submitting worker's own deque; submissions from outside
-// land in a small mutex-protected injection queue that workers drain in
-// chunks into their deques (one lock acquisition amortized over the chunk).
-// submit_batch() enqueues a whole wave of tasks under one lock — the
-// DagScheduler's epoch mode dispatches each ready-set drain this way.
+// One FIFO task queue under one mutex. Idle workers wait on one condition
+// variable for "work, stop or shrink"; wait_idle() waits on a second one for
+// the count of queued plus running tasks to reach zero. submit_batch()
+// enqueues a whole batch under one lock acquisition and wakes every waiting
+// worker once — the DagScheduler dispatches each wave this way.
 //
-// Idle workers spin briefly over the deques, then park on a condition
-// variable; submitters bump an epoch counter and only notify when a sleeper
-// is registered, so a saturated pool never touches the parking lock.
-// docs/PERFORMANCE.md documents the cost model and the lock hierarchy.
+// Every task in this codebase is submitted from outside the pool (a wave
+// batch from a rebuild's calling thread, or one runner per admitted service
+// ticket), so per-worker queues and stealing would have nothing to balance;
+// docs/PERFORMANCE.md §1 records the 4-thread measurement behind that.
 #pragma once
 
 #include <atomic>
@@ -21,8 +18,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -31,67 +28,10 @@
 
 namespace comt::sched {
 
-namespace detail {
-
-/// Chase–Lev work-stealing deque of heap-allocated tasks. The owner thread
-/// pushes/pops at the bottom; any number of thieves steal at the top. All
-/// cross-thread ordering is expressed through seq_cst/acquire/release
-/// operations on `top_`/`bottom_` (no standalone fences — ThreadSanitizer
-/// models atomics precisely but not fences). The circular array grows on
-/// demand; retired arrays are kept until destruction so a thief holding a
-/// stale array pointer never reads freed memory.
-class StealDeque {
- public:
-  using Task = std::function<void()>;
-
-  StealDeque();
-  ~StealDeque();
-  StealDeque(const StealDeque&) = delete;
-  StealDeque& operator=(const StealDeque&) = delete;
-
-  /// Owner only: enqueue at the bottom.
-  void push(Task task);
-
-  /// Owner only: dequeue at the bottom (LIFO against push; the last element
-  /// races thieves and is resolved by CAS). Returns nullptr when empty.
-  Task pop();
-
-  /// Any thread: dequeue at the top (FIFO). Returns nullptr when empty or
-  /// when it lost the race for the last element.
-  Task steal();
-
-  /// Approximate: may be stale the moment it returns.
-  bool empty() const;
-
- private:
-  struct Ring {
-    explicit Ring(std::int64_t capacity);
-    std::int64_t capacity;  // power of two
-    std::unique_ptr<std::atomic<Task*>[]> slots;
-    Task* get(std::int64_t index) const {
-      return slots[index & (capacity - 1)].load(std::memory_order_relaxed);
-    }
-    void put(std::int64_t index, Task* task) {
-      slots[index & (capacity - 1)].store(task, std::memory_order_relaxed);
-    }
-  };
-
-  Ring* grow(Ring* ring, std::int64_t top, std::int64_t bottom);
-
-  std::atomic<std::int64_t> top_{0};
-  std::atomic<std::int64_t> bottom_{0};
-  std::atomic<Ring*> ring_;
-  std::vector<std::unique_ptr<Ring>> retired_;  // owner-only; freed with *this
-};
-
-}  // namespace detail
-
 class ThreadPool {
  public:
   /// Spawns `threads` workers (at least 1). `max_threads` bounds how far
   /// resize() can ever grow the pool (0 = `threads`, i.e. a fixed pool).
-  /// Worker slots — deques included — are allocated for the maximum up
-  /// front, so growing never reallocates state a running worker is reading.
   explicit ThreadPool(std::size_t threads, std::size_t max_threads = 0);
 
   /// Equivalent to shutdown().
@@ -102,26 +42,23 @@ class ThreadPool {
 
   /// Current worker target (resize() moves it; retiring workers may still be
   /// finishing their last task when this returns the new value).
-  std::size_t size() const { return active_target_.load(std::memory_order_acquire); }
-  std::size_t max_size() const { return queues_.size(); }
+  std::size_t size() const;
+  std::size_t max_size() const { return workers_.size(); }
 
   /// Retargets the pool to `threads` workers, clamped to [1, max_size()].
   /// Growing joins any previously retired slot and spawns a fresh worker
-  /// into it; shrinking parks-and-retires the highest slots — each retiree
-  /// finishes its current task and exits, and whatever is left in its deque
-  /// stays visible to the survivors' steal scan, so no queued or stolen task
-  /// is ever dropped. Safe to call from any non-pool thread; concurrent
-  /// resizes serialize. No-op after shutdown().
+  /// into it; shrinking retires the highest slots — each retiree finishes its
+  /// current task and exits. The queue is shared, so no queued task is ever
+  /// dropped. Safe to call from any non-pool thread; concurrent resizes
+  /// serialize. No-op after shutdown().
   void resize(std::size_t threads);
 
-  /// Enqueues a task. From a pool worker this is a lock-free push onto the
-  /// worker's own deque; from any other thread the task goes through the
-  /// injection queue (one brief lock). No-op after shutdown(); must not race
-  /// a concurrent shutdown() call.
+  /// Enqueues a task and wakes one waiting worker. No-op after shutdown().
   void submit(std::function<void()> task);
 
-  /// Enqueues a whole batch under a single injection-queue lock — the
-  /// amortized entry point for wave/epoch dispatch. Empty batches are no-ops.
+  /// Enqueues a whole batch under a single lock acquisition and wakes every
+  /// waiting worker — the entry point for wave dispatch. Empty batches are
+  /// no-ops.
   void submit_batch(std::vector<std::function<void()>> tasks);
 
   /// Blocks until every submitted task has finished.
@@ -136,61 +73,39 @@ class ThreadPool {
 
   /// Attaches pool instrumentation: every task records its submit-to-start
   /// queue wait in the "<prefix>.queue_wait_ms" histogram and bumps
-  /// "<prefix>.tasks"; successful steals bump "<prefix>.steals" and each
-  /// worker park (sleep after a fruitless spin) bumps "<prefix>.parks" —
-  /// the two contention signals docs/PERFORMANCE.md explains how to read.
-  /// Pass nullptr to detach. Safe to call while workers run (the instrument
-  /// pointers are atomic); tasks already instrumented keep their snapshot.
+  /// "<prefix>.tasks"; each time a worker finds the queue empty and waits it
+  /// bumps "<prefix>.parks" (docs/PERFORMANCE.md §4 explains how to read
+  /// them). Pass nullptr to detach. Safe to call while workers run (the
+  /// instrument pointers are atomic); tasks already instrumented keep their
+  /// snapshot.
   void set_metrics(obs::MetricsRegistry* metrics, std::string_view prefix = "sched.pool");
 
  private:
-  struct Worker {
-    detail::StealDeque deque;
-  };
-
   void worker_loop(std::size_t self);
-  /// One full scan: own deque, then the injection queue, then siblings.
-  std::function<void()> take(std::size_t self);
-  std::function<void()> take_injected(std::size_t self);
-  void notify_work(std::size_t tasks);
-  void finish_task();
   std::function<void()> instrument(std::function<void()> task);
 
-  std::vector<std::unique_ptr<Worker>> queues_;  ///< max_size() slots, fixed
-  std::vector<std::thread> workers_;             ///< one (re)spawnable per slot
+  // mutex_ guards the four members after the condition variables.
+  mutable std::mutex mutex_;
+  std::condition_variable wake_;  // work queued, stop, or a shrink
+  std::condition_variable idle_;  // outstanding_ reached zero
+  std::deque<std::function<void()>> queue_;
+  std::size_t outstanding_ = 0;  // queued + running
+  std::size_t target_ = 0;       // workers with index >= target_ retire
+  bool stopping_ = false;
 
-  // Dynamic sizing: workers with index >= active_target_ retire after their
-  // current task. resize() serializes against itself and shutdown().
-  std::atomic<std::size_t> active_target_{0};
-  std::mutex resize_mutex_;
-
-  // External submissions; workers move chunks into their own deques.
-  std::mutex inject_mutex_;
-  std::deque<std::function<void()>> injected_;
-
-  // Parking: work_epoch_ counts "work may have arrived" events; a worker
-  // records the epoch, rescans, and only sleeps if the epoch is unchanged
-  // under park_mutex_ — submitters bump the epoch first and lock only when
-  // sleepers_ is nonzero, so the uncontended path never blocks.
-  std::mutex park_mutex_;
-  std::condition_variable work_available_;
-  std::atomic<std::uint64_t> work_epoch_{0};
-  std::atomic<std::size_t> sleepers_{0};
-
-  // Idle tracking: outstanding_ counts queued + running tasks.
-  std::mutex idle_mutex_;
-  std::condition_variable all_done_;
-  std::atomic<std::int64_t> outstanding_{0};
-
-  std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> executed_{0};
   // Resolved in set_metrics; atomic because workers may already be running
   // (instruments themselves live in the registry and are never destroyed
   // while it exists).
   std::atomic<obs::Histogram*> queue_wait_ms_{nullptr};
   std::atomic<obs::Counter*> task_counter_{nullptr};
-  std::atomic<obs::Counter*> steal_counter_{nullptr};
   std::atomic<obs::Counter*> park_counter_{nullptr};
+
+  // One slot per possible worker, sized once at construction and declared
+  // after everything a worker uses. resize() and shutdown() are the only
+  // code that spawns or joins; resize_mutex_ serializes them.
+  std::mutex resize_mutex_;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace comt::sched

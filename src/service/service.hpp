@@ -292,11 +292,11 @@ struct ServiceOptions {
   /// "rebuild" span tree — one trace covers admission through blob push.
   obs::Tracer* tracer = nullptr;
   /// Optional metrics registry. When set, every service counter
-  /// ("service.*"), worker-pool ("service.pool.*", including the
-  /// steals/parks contention counters — see sched::ThreadPool::set_metrics),
-  /// journal, and rebuild metric lands here; when null the service keeps
-  /// them in a private registry. ServiceStats is a point-in-time view over
-  /// whichever registry is active.
+  /// ("service.*"), worker-pool ("service.pool.*", including the parks
+  /// counter — see sched::ThreadPool::set_metrics), journal, and rebuild
+  /// metric lands here; when null the service keeps them in a private
+  /// registry. ServiceStats is a point-in-time view over whichever registry
+  /// is active.
   obs::MetricsRegistry* metrics = nullptr;
 };
 

@@ -112,6 +112,13 @@ TEST(CrashResumeTest, ReRunningACompletedJournalReplaysEveryJob) {
 //   job_start/job_committed fire inside job k before its commit -> k-1 replays
 //   journal_committed fires after job k's commit record          -> k replays
 //   finish fires once, after all N commits                       -> N replays
+// A second pass sweeps the concurrent wave path at threads == 4. There
+// job_committed and journal_committed fire from the wave-commit hook, once
+// per job around its commit record, and finish fires after the schedule, all
+// on the scheduler's calling thread, so the same arithmetic holds. job_start
+// fires inside a job body on a pool worker, where a thrown CrashInjected
+// terminates the process; that is why crash injection requires
+// rebuild_threads == 1 in the service, and why this pass leaves it out.
 TEST(CrashResumeTest, ExhaustiveCrashSweepResumesBitIdentical) {
   const std::string tag = shared_world().extended_tag;
   const std::string want = reference_digest();
@@ -129,49 +136,61 @@ TEST(CrashResumeTest, ExhaustiveCrashSweepResumesBitIdentical) {
   }
   ASSERT_GT(jobs, 1u);
 
-  for (std::string_view site : core::kRebuildCrashSites) {
-    const std::uint64_t site_calls = site == core::kCrashFinish ? 1 : jobs;
-    for (std::uint64_t call = 1; call <= site_calls; ++call) {
-      SCOPED_TRACE(std::string(site) + " call " + std::to_string(call));
-      oci::Layout layout = shared_world().eval.layout();
-      durable::Journal journal;
-      support::FaultInjector faults;
-      faults.crash_at(site, call);
+  struct Pass {
+    std::size_t threads;
+    std::vector<std::string_view> sites;
+  };
+  const Pass passes[] = {
+      {1, {std::begin(core::kRebuildCrashSites), std::end(core::kRebuildCrashSites)}},
+      {4, {core::kCrashJobCommitted, core::kCrashJournalCommitted, core::kCrashFinish}},
+  };
+  for (const Pass& pass : passes) {
+    for (std::string_view site : pass.sites) {
+      const std::uint64_t site_calls = site == core::kCrashFinish ? 1 : jobs;
+      for (std::uint64_t call = 1; call <= site_calls; ++call) {
+        SCOPED_TRACE("threads " + std::to_string(pass.threads) + ": " + std::string(site) +
+                     " call " + std::to_string(call));
+        oci::Layout layout = shared_world().eval.layout();
+        durable::Journal journal;
+        support::FaultInjector faults;
+        faults.crash_at(site, call);
 
-      core::RebuildOptions options = base_options();
-      options.journal = &journal;
-      options.fault_injector = &faults;
+        core::RebuildOptions options = base_options();
+        options.threads = pass.threads;
+        options.journal = &journal;
+        options.fault_injector = &faults;
 
-      bool crashed = false;
-      try {
-        auto doomed = core::comtainer_rebuild(layout, tag, options);
-        ADD_FAILURE() << "rebuild survived an armed crash site";
-      } catch (const support::CrashInjected& crash) {
-        crashed = true;
-        EXPECT_EQ(crash.site, site);
-        EXPECT_EQ(crash.call, call);
+        bool crashed = false;
+        try {
+          auto doomed = core::comtainer_rebuild(layout, tag, options);
+          ADD_FAILURE() << "rebuild survived an armed crash site";
+        } catch (const support::CrashInjected& crash) {
+          crashed = true;
+          EXPECT_EQ(crash.site, site);
+          EXPECT_EQ(crash.call, call);
+        }
+        ASSERT_TRUE(crashed);
+
+        faults.clear_all();
+        auto resumed = core::comtainer_rebuild(layout, tag, options);
+        ASSERT_TRUE(resumed.ok()) << resumed.error().to_string();
+        EXPECT_EQ(resumed.value().image.manifest_digest.value, want);
+        EXPECT_TRUE(resumed.value().resumed);
+
+        std::size_t want_replayed = 0;
+        if (site == core::kCrashJobStart || site == core::kCrashJobCommitted) {
+          want_replayed = call - 1;
+        } else if (site == core::kCrashJournalCommitted) {
+          want_replayed = call;
+        } else {
+          want_replayed = jobs;  // kCrashFinish: everything was committed
+        }
+        EXPECT_EQ(resumed.value().journal_replayed, want_replayed);
+        // Committed jobs never touch the toolchain again; with no compile
+        // cache every non-replayed job counts as a miss.
+        EXPECT_EQ(resumed.value().cache_misses, jobs - want_replayed);
+        EXPECT_EQ(resumed.value().journal_committed, jobs - want_replayed);
       }
-      ASSERT_TRUE(crashed);
-
-      faults.clear_all();
-      auto resumed = core::comtainer_rebuild(layout, tag, options);
-      ASSERT_TRUE(resumed.ok()) << resumed.error().to_string();
-      EXPECT_EQ(resumed.value().image.manifest_digest.value, want);
-      EXPECT_TRUE(resumed.value().resumed);
-
-      std::size_t want_replayed = 0;
-      if (site == core::kCrashJobStart || site == core::kCrashJobCommitted) {
-        want_replayed = call - 1;
-      } else if (site == core::kCrashJournalCommitted) {
-        want_replayed = call;
-      } else {
-        want_replayed = jobs;  // kCrashFinish: everything was committed
-      }
-      EXPECT_EQ(resumed.value().journal_replayed, want_replayed);
-      // Committed jobs never touch the toolchain again; with no compile cache
-      // every non-replayed job counts as a miss.
-      EXPECT_EQ(resumed.value().cache_misses, jobs - want_replayed);
-      EXPECT_EQ(resumed.value().journal_committed, jobs - want_replayed);
     }
   }
 }

@@ -1,7 +1,7 @@
 // Concurrency stress tests for the scheduler hot path. These are the tests
-// the TSAN stage of scripts/check.sh leans on: lock-free compile-cache hits
-// racing inserts, Chase–Lev deque stealing under deliberate imbalance, and
-// the epoch/wave protocol's barrier discipline. Each test is deterministic
+// the TSAN stage of scripts/check.sh leans on: compile-cache hits racing
+// inserts, a pool flooded from inside and resized under load, and the
+// epoch/wave protocol's barrier discipline. Each test is deterministic
 // in its assertions (exactly-once execution, exact counts) while leaving the
 // interleavings to the scheduler, which is what gives the sanitizer
 // something to chew on.
@@ -22,7 +22,7 @@
 namespace comt {
 namespace {
 
-// ---- CompileCache: lock-free hits racing inserts ------------------------------
+// ---- CompileCache: hits racing inserts ----------------------------------------
 
 TEST(SchedStressTest, CacheHitsStayCorrectUnderConcurrentInsert) {
   constexpr int kSeeded = 16;
@@ -45,7 +45,7 @@ TEST(SchedStressTest, CacheHitsStayCorrectUnderConcurrentInsert) {
   std::atomic<bool> writing{true};
   std::thread writer([&] {
     // Replace seeded entries with identical content and add fresh ones —
-    // every publish races the readers' snapshot loads.
+    // every store races the readers' lookups.
     for (int round = 0; round < 200; ++round) {
       const int i = round % kSeeded;
       sched::CacheEntry entry;
@@ -68,7 +68,7 @@ TEST(SchedStressTest, CacheHitsStayCorrectUnderConcurrentInsert) {
       for (int iter = 0; iter < kIterations; ++iter) {
         const int i = iter % kSeeded;
         auto hit = cache.lookup("key-" + std::to_string(i), digest_of);
-        // Old or new snapshot, the entry must be present and byte-identical.
+        // Old or new entry, it must be present and byte-identical.
         if (hit == nullptr || hit->outputs.size() != 1 ||
             hit->outputs[0].content != "content-" + std::to_string(i)) {
           wrong.fetch_add(1);
@@ -87,57 +87,7 @@ TEST(SchedStressTest, CacheHitsStayCorrectUnderConcurrentInsert) {
   EXPECT_EQ(cache.size(), static_cast<std::size_t>(kSeeded + 200));
 }
 
-// ---- StealDeque: exactly-once under concurrent thieves ------------------------
-
-TEST(SchedStressTest, StealDequeDeliversEveryTaskExactlyOnce) {
-  constexpr int kTasks = 2000;
-  constexpr int kThieves = 3;
-
-  sched::detail::StealDeque deque;
-  std::vector<std::atomic<int>> runs(kTasks);
-  for (auto& r : runs) r.store(0);
-
-  std::atomic<bool> done_pushing{false};
-  std::atomic<int> executed{0};
-  auto run_task = [&](sched::detail::StealDeque::Task task) {
-    if (task) {
-      task();
-      executed.fetch_add(1);
-      return true;
-    }
-    return false;
-  };
-
-  std::vector<std::thread> thieves;
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      while (executed.load() < kTasks) {
-        if (!run_task(deque.steal()) && done_pushing.load()) {
-          if (executed.load() >= kTasks) break;
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-
-  // Owner: push everything, popping a few along the way (bottom contention).
-  for (int i = 0; i < kTasks; ++i) {
-    deque.push([&runs, i] { runs[i].fetch_add(1); });
-    if (i % 7 == 0) run_task(deque.pop());
-  }
-  done_pushing.store(true);
-  while (executed.load() < kTasks) {
-    if (!run_task(deque.pop())) std::this_thread::yield();
-  }
-  for (std::thread& thief : thieves) thief.join();
-
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(runs[i].load(), 1) << "task " << i << " ran " << runs[i].load()
-                                 << " times";
-  }
-}
-
-// ---- ThreadPool: imbalance resolved by stealing -------------------------------
+// ---- ThreadPool: a flood submitted from inside the pool -----------------------
 
 TEST(SchedStressTest, FloodedWorkerIsDrainedBySiblings) {
   constexpr int kFlood = 256;
@@ -145,9 +95,8 @@ TEST(SchedStressTest, FloodedWorkerIsDrainedBySiblings) {
   sched::ThreadPool pool(4);
   pool.set_metrics(&metrics, "stress.pool");
 
-  // One task fans out the whole load from inside the pool: submit() from a
-  // worker pushes to that worker's own deque, so all kFlood tasks start on
-  // one queue and the other three workers only make progress by stealing.
+  // One task fans out the whole load from inside the pool while the other
+  // three workers drain the shared queue behind it.
   std::atomic<int> count{0};
   pool.submit([&pool, &count] {
     for (int i = 0; i < kFlood; ++i) {
@@ -164,12 +113,12 @@ TEST(SchedStressTest, FloodedWorkerIsDrainedBySiblings) {
             static_cast<std::uint64_t>(kFlood + 1));
 }
 
-// ---- ThreadPool: dynamic resize under active steals ---------------------------
+// ---- ThreadPool: dynamic resize under load ------------------------------------
 
 TEST(SchedStressTest, ResizeStormNeverLosesATask) {
   // Grow/shrink the pool continuously while two submitter threads flood it
-  // and the in-pool fan-out keeps the steal path hot. Every submitted task
-  // must run exactly once regardless of how many workers retire mid-steal.
+  // and tasks submit children from inside the pool. Every submitted task
+  // must run exactly once regardless of how many workers retire mid-drain.
   constexpr int kPerSubmitter = 400;
   sched::ThreadPool pool(2, 8);
   std::atomic<int> count{0};
@@ -189,7 +138,7 @@ TEST(SchedStressTest, ResizeStormNeverLosesATask) {
     submitters.emplace_back([&pool, &count] {
       for (int i = 0; i < kPerSubmitter; ++i) {
         // Half the load fans out from inside the pool so retiring workers
-        // leave freshly pushed subtasks behind for survivors to steal.
+        // leave freshly submitted subtasks behind for the survivors.
         if (i % 2 == 0) {
           pool.submit([&pool, &count] {
             count.fetch_add(1);

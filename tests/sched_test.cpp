@@ -1,4 +1,4 @@
-// The parallel rebuild engine: work-stealing pool, DAG scheduler,
+// The parallel rebuild engine: thread pool, DAG scheduler,
 // content-addressed compile cache, and the end-to-end guarantees the
 // backend builds on them — bit-identical parallel rebuilds and full cache
 // hits on unchanged inputs.
@@ -10,10 +10,12 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/backend.hpp"
 #include "core/cache.hpp"
+#include "obs/metrics.hpp"
 #include "sched/compile_cache.hpp"
 #include "sched/dag.hpp"
 #include "sched/thread_pool.hpp"
@@ -40,8 +42,7 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
 }
 
 TEST(ThreadPoolTest, WorkIsStolenAcrossWorkers) {
-  // All tasks land on distinct queues via round-robin, but even a single
-  // flooded pool drains: every task runs exactly once.
+  // Two workers share one queue: every task runs exactly once.
   sched::ThreadPool pool(2);
   std::mutex mutex;
   std::set<int> seen;
@@ -108,9 +109,9 @@ TEST(ThreadPoolTest, ShrinkDoesNotDropQueuedTasks) {
   }
   std::atomic<int> ran{0};
   for (int i = 0; i < 64; ++i) pool.submit([&ran] { ran.fetch_add(1); });
-  pool.resize(1);  // retire three workers while their deques hold work
+  pool.resize(1);  // retire three workers while the queue holds work
   gate.unlock();
-  pool.wait_idle();  // the survivor must steal every retiree's leftovers
+  pool.wait_idle();  // the survivor must drain everything queued
   EXPECT_EQ(ran.load(), 64);
   EXPECT_EQ(pool.size(), 1u);
 }
@@ -241,6 +242,120 @@ TEST(DagTest, DependenciesCompleteBeforeDependents) {
   }
 }
 
+TEST(DagTest, InlineAndPooledRunsReportTheSameWaves) {
+  // Submission order is deliberately not topological. Waves: {a, b, c},
+  // {d, e}, {g, f}, {h}; b fails, so e and g are skipped, and every wave
+  // still has a body to run.
+  struct Spec {
+    const char* id;
+    std::vector<std::string> deps;
+    std::size_t wave;
+  };
+  const std::vector<Spec> specs = {
+      {"h", {"f"}, 3},       // 0
+      {"a", {}, 0},          // 1
+      {"b", {}, 0},          // 2
+      {"g", {"e"}, 2},       // 3
+      {"c", {}, 0},          // 4
+      {"d", {"a"}, 1},       // 5
+      {"e", {"b"}, 1},       // 6
+      {"f", {"c", "d"}, 2},  // 7
+  };
+  const std::vector<std::size_t> inline_order = {1, 2, 4, 5, 7, 0};
+  const std::vector<std::vector<std::size_t>> want_begin = {{1, 2, 4}, {5}, {7}, {0}};
+  const std::vector<std::vector<std::size_t>> want_commit = {{1, 4}, {5}, {7}, {0}};
+
+  struct Outcome {
+    bool ok;
+    bool skipped;
+  };
+  std::vector<Outcome> reference;
+  for (std::size_t threads : {std::size_t{0}, std::size_t{4}}) {
+    for (bool with_hooks : {false, true}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) +
+                   (with_hooks ? " with hooks" : " without hooks"));
+      sched::DagScheduler dag;
+      std::mutex mutex;
+      std::vector<std::size_t> ran;  // body start order, guarded by mutex
+      for (std::size_t i = 0; i < specs.size(); ++i) {
+        const bool fails = std::string(specs[i].id) == "b";
+        ASSERT_TRUE(dag.add_job(specs[i].id, specs[i].deps, [&mutex, &ran, i, fails] {
+                         {
+                           std::lock_guard<std::mutex> lock(mutex);
+                           ran.push_back(i);
+                         }
+                         return fails ? Status(make_error(Errc::failed, "boom"))
+                                      : Status::success();
+                       }).ok());
+      }
+
+      const std::thread::id caller = std::this_thread::get_id();
+      std::vector<std::vector<std::size_t>> began;
+      std::vector<std::vector<std::size_t>> committed;
+      sched::EpochHooks hooks;
+      hooks.begin = [&](std::size_t epoch, const std::vector<std::size_t>& jobs) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_EQ(epoch, began.size());
+        began.push_back(jobs);
+      };
+      hooks.commit = [&](std::size_t epoch,
+                         const std::vector<std::size_t>& succeeded) -> Status {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_EQ(epoch, committed.size());
+        committed.push_back(succeeded);
+        return Status::success();
+      };
+
+      obs::MetricsRegistry metrics;
+      sched::ObsOptions obs_options;
+      obs_options.metrics = &metrics;
+      std::unique_ptr<sched::ThreadPool> pool;
+      if (threads > 0) pool = std::make_unique<sched::ThreadPool>(threads);
+      auto report = dag.run(pool.get(), obs_options, with_hooks ? &hooks : nullptr);
+      ASSERT_TRUE(report.ok()) << report.error().to_string();
+
+      EXPECT_EQ(report.value().executed, 6u);
+      EXPECT_EQ(report.value().failed, 1u);
+      EXPECT_EQ(report.value().skipped, 2u);
+      EXPECT_EQ(report.value().epochs, want_begin.size());
+      EXPECT_EQ(metrics.counter_value("sched.epochs"), want_begin.size());
+      EXPECT_EQ(metrics.histogram("sched.epoch_jobs").count(), want_begin.size());
+
+      std::vector<Outcome> outcomes;
+      for (const sched::JobOutcome& job : report.value().jobs) {
+        outcomes.push_back({job.status.ok(), job.skipped});
+      }
+      if (reference.empty()) {
+        reference = outcomes;
+      } else {
+        ASSERT_EQ(outcomes.size(), reference.size());
+        for (std::size_t i = 0; i < outcomes.size(); ++i) {
+          EXPECT_EQ(outcomes[i].ok, reference[i].ok) << specs[i].id;
+          EXPECT_EQ(outcomes[i].skipped, reference[i].skipped) << specs[i].id;
+        }
+      }
+      EXPECT_TRUE(report.value().jobs[6].skipped);  // e, behind the failed b
+      EXPECT_TRUE(report.value().jobs[3].skipped);  // g, transitively
+
+      if (threads == 0) {
+        EXPECT_EQ(ran, inline_order);  // wave by wave, submission order within
+      } else {
+        ASSERT_EQ(ran.size(), inline_order.size());
+        for (std::size_t i = 1; i < ran.size(); ++i) {
+          EXPECT_LE(specs[ran[i - 1]].wave, specs[ran[i]].wave) << "wave barrier crossed";
+        }
+      }
+      if (with_hooks) {
+        EXPECT_EQ(began, want_begin);
+        EXPECT_EQ(committed, want_commit);
+      } else {
+        EXPECT_TRUE(began.empty());
+        EXPECT_TRUE(committed.empty());
+      }
+    }
+  }
+}
+
 // ---- CompileCache -------------------------------------------------------------
 
 TEST(CompileCacheTest, KeyDigestSeparatesFields) {
@@ -342,6 +457,51 @@ TEST(CompileCacheTest, AttachedCacheWarmStartsFromTheBackingStore) {
   EXPECT_EQ(hit->outputs[0].content, "OBJ-bytes");
   EXPECT_EQ(hit->outputs[1].path, "/src/app");
   EXPECT_EQ(hit->outputs[1].mode, 0755u);
+}
+
+TEST(CompileCacheTest, StaleLocalEntryFallsBackToTheBackingStore) {
+  // Two replicas share one backing store. B adopts A's v1 entry; after a
+  // source change A stores v2, and B's stale local v1 must not hide it.
+  auto backing = std::make_shared<store::MemStore>();
+  sched::CompileCache a;
+  sched::CompileCache b;
+  a.attach(backing);
+  b.attach(backing);
+
+  std::string source = "int v = 1;";
+  auto digest_of = [&source](const std::string&) { return Sha256::hex_digest(source); };
+  auto entry_for = [](const std::string& text, const std::string& object) {
+    sched::CacheEntry entry;
+    entry.input_digests["/src/m.c"] = Sha256::hex_digest(text);
+    entry.outputs.push_back({"/src/m.o", object, 0644});
+    return entry;
+  };
+
+  a.store("key", entry_for(source, "OBJ-v1"));
+  auto first = b.lookup("key", digest_of);
+  ASSERT_NE(first, nullptr);
+  EXPECT_EQ(first->outputs[0].content, "OBJ-v1");
+
+  source = "int v = 2;";
+  a.store("key", entry_for(source, "OBJ-v2"));
+  auto second = b.lookup("key", digest_of);
+  ASSERT_NE(second, nullptr) << "stale local entry hid the backing store's match";
+  EXPECT_EQ(second->outputs[0].content, "OBJ-v2");
+  EXPECT_EQ(b.stats().hits, 2u);
+  EXPECT_EQ(b.stats().remote_hits, 2u);
+  EXPECT_EQ(b.stats().misses, 0u);
+
+  // v2 was adopted: the next lookup hits locally, without the backing.
+  ASSERT_TRUE(backing->erase(std::string(sched::kCacheKeyPrefix) + "key").ok());
+  auto third = b.lookup("key", digest_of);
+  ASSERT_NE(third, nullptr);
+  EXPECT_EQ(third->outputs[0].content, "OBJ-v2");
+  EXPECT_EQ(b.stats().remote_hits, 2u);
+
+  // Stale locally and absent from the backing: a plain miss.
+  source = "int v = 3;";
+  EXPECT_EQ(b.lookup("key", digest_of), nullptr);
+  EXPECT_EQ(b.stats().misses, 1u);
 }
 
 TEST(CompileCacheTest, CorruptPersistedEntryDegradesToMissNeverAWrongHit) {

@@ -616,6 +616,7 @@ TEST(ServiceTenantTest, WeightedFairDrainKeepsQuietTenantUnstarved) {
 }
 
 TEST(ServiceAutoscaleTest, ScalesUpUnderBacklogAndConvergesBackToMin) {
+  support::FaultInjector faults;
   registry::Registry hub;
   ASSERT_TRUE(publish(hub, "minimd", "hub/minimd", "1.0").ok());
   ASSERT_TRUE(publish(hub, "comd", "hub/comd", "1.0").ok());
@@ -632,10 +633,17 @@ TEST(ServiceAutoscaleTest, ScalesUpUnderBacklogAndConvergesBackToMin) {
   options.autoscale.up_backlog_per_worker = 1.0;
   options.autoscale.down_backlog_per_worker = 0.25;
   options.autoscale.cooldown_periods = 2;
+  // The first two pulls fail and each retry backs off for at least 10 ms, so
+  // the first job holds the only worker across several 5 ms ticks while the
+  // other three stay queued: the backlog exists by construction, not because
+  // a ticket happens to outlast a tick.
+  options.backoff_base_ms = 10;
   options.metrics = &metrics;
   RebuildService svc(hub, options);
   ASSERT_TRUE(svc.add_system(kSys, make_target()).ok());
   EXPECT_EQ(metrics.gauge_value(std::string("service.autoscale.workers.") + kSys), 1.0);
+  hub.set_fault_injector(&faults);
+  faults.fail_next(registry::kPullFaultSite, 2);
 
   std::vector<Ticket> tickets;
   for (const char* name : {"hub/minimd", "hub/comd", "hub/hpccg", "hub/minife"}) {
