@@ -1,13 +1,14 @@
 // Framework micro-benchmarks (google-benchmark): the coMtainer machinery
 // costs the paper treats qualitatively — image flattening, layout copies,
-// layer packing, digesting, GCC command-line parsing, build-graph
-// serialization, dependency resolution, and the full user-side/system-side
-// pipeline stages.
+// registry pulls, layer packing, digesting, GCC command-line parsing,
+// build-graph serialization, dependency resolution, and the full
+// user-side/system-side pipeline stages.
 #include <benchmark/benchmark.h>
 
 #include "core/backend.hpp"
 #include "core/frontend.hpp"
 #include "pkg/pkg.hpp"
+#include "registry/registry.hpp"
 #include "support/sha256.hpp"
 #include "support/sha256_compress.hpp"
 #include "tar/tar.hpp"
@@ -142,6 +143,34 @@ void BM_LayoutCopy(benchmark::State& state) {
   state.counters["blob_bytes"] = static_cast<double>(base.total_blob_bytes());
 }
 BENCHMARK(BM_LayoutCopy);
+
+// The front of a refresh ticket on the site side: copy the Sysenv base
+// layout, pull the lammps extended image from an in-memory hub into the
+// copy, and flatten it. Every pulled blob is SHA-256-checked on each pull.
+void BM_RegistryPullAndFlatten(benchmark::State& state) {
+  const sysmodel::SystemProfile& system = sysmodel::SystemProfile::x86_cluster();
+  workloads::Evaluation world(system);
+  auto prepared = world.prepare(lammps());
+  COMT_ASSERT(prepared.ok(), "prepare failed");
+  registry::Registry hub;
+  COMT_ASSERT(hub.push(world.layout(), prepared.value().extended_tag, "bench/lammps", "1").ok(),
+              "push failed");
+  oci::Layout base;
+  COMT_ASSERT(workloads::install_system_images(base, system).ok(), "install failed");
+  auto sysenv = base.find_image(workloads::sysenv_tag(system));
+  COMT_ASSERT(sysenv.ok() && base.flatten(sysenv.value()).ok(), "sysenv flatten failed");
+  for (auto _ : state) {
+    oci::Layout workspace = base;
+    COMT_ASSERT(hub.pull("bench/lammps", "1", workspace, "work").ok(), "pull failed");
+    auto image = workspace.find_image("work");
+    COMT_ASSERT(image.ok(), "pulled image missing");
+    auto rootfs = workspace.flatten(image.value());
+    benchmark::DoNotOptimize(rootfs.ok());
+  }
+  state.counters["pulled_bytes"] = benchmark::Counter(
+      static_cast<double>(hub.stats().pulled_bytes), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_RegistryPullAndFlatten);
 
 void BM_UserSidePipeline(benchmark::State& state) {
   // Full user-side flow: two-stage image build + analysis + cache layer.

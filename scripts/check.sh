@@ -19,7 +19,8 @@
 # commit hook) and the service + soak smoke benches. A third
 # build under AddressSanitizer reruns the durability layer (write-ahead
 # journal, crash/torn-write injection, fsck/repair), SHA-256, vfs, the tar
-# parser's damage sweeps and OCI layouts, plus
+# parser's damage sweeps, OCI layouts and the registry, whose pulled blob
+# buffers and layer-tree slots outlive the hub's sweep, plus
 # the crash-resume smoke bench — crash paths unwind through partially
 # written state, exactly where ASAN finds lifetime bugs.
 #
@@ -99,14 +100,15 @@ if [ "${COMT_SKIP_ASAN:-0}" != "1" ]; then
   cmake -B "$asan_dir" -S "$repo" -DCOMT_SANITIZE=address
   cmake --build "$asan_dir" -j "$jobs"
 
-  echo "== asan test (durability layer, SHA-256, vfs, tar, layouts) =="
+  echo "== asan test (durability layer, SHA-256, vfs, tar, layouts, registry) =="
   # Sha256: the SHA-extension compressor loads 16 bytes at a time, so ASAN
   # must see any read past a buffer's end. Vfs: node content is reallocated
   # to its exact size. Tar: the parser's truncation and bit-flip sweeps read
   # right up to every cut. Layout: kept layer trees outlive the bytes they
-  # were unpacked from.
+  # were unpacked from. Registry: a pull holds the hub's blob buffers and
+  # their tree slots after the hub lock is released, while a remove sweeps.
   ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" \
-        -R 'Journal|Durable|Fsck|CrashResume|ServiceCrashRecovery|FaultInjector|LayoutPin|RegistryPin|Store|Transfer|Sha256|Vfs|Tar|Layout'
+        -R 'Journal|Durable|Fsck|CrashResume|ServiceCrashRecovery|FaultInjector|LayoutPin|Registry|Store|Transfer|Sha256|Vfs|Tar|Layout'
 
   echo "== asan bench smoke =="
   "$asan_dir/bench/crash_resume" --smoke

@@ -168,43 +168,75 @@ Result<Manifest> Manifest::from_json(const json::Value& value) {
   return out;
 }
 
+namespace detail {
+
+/// One layer buffer's unpacked tree. The slot holds the buffer it is bound
+/// to, so it can never hold the tree of other bytes (nor can that buffer be
+/// freed and its address reused while the slot lives). The mutex is held
+/// while the tree unpacks, so concurrent flattens unpack a buffer once.
+struct LayerSlot {
+  explicit LayerSlot(std::shared_ptr<const std::string> bytes) : bytes(std::move(bytes)) {}
+
+  Result<std::shared_ptr<const vfs::Filesystem>> tree() {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (unpacked == nullptr) {
+      COMT_TRY(vfs::Filesystem fresh, tar::unpack(*bytes));
+      unpacked = std::make_shared<const vfs::Filesystem>(std::move(fresh));
+    }
+    return unpacked;
+  }
+
+  const std::shared_ptr<const std::string> bytes;
+  std::mutex mutex;
+  std::shared_ptr<const vfs::Filesystem> unpacked;  ///< null until first use
+};
+
+}  // namespace detail
+
+Status SharedBlob::verify(const Digest& digest) {
+  if (verified_ == digest) return Status::success();
+  if (Digest::of_blob(*bytes_) != digest) {
+    return make_error(Errc::corrupt, "blob content does not match digest " + digest.value);
+  }
+  verified_ = digest;
+  return Status::success();
+}
+
 Layout::LayerTrees::LayerTrees(const LayerTrees& other) {
   std::lock_guard<std::mutex> lock(other.mutex_);
-  trees_ = other.trees_;
+  slots_ = other.slots_;
 }
 
 Layout::LayerTrees::LayerTrees(LayerTrees&& other) noexcept
-    : trees_(std::move(other.trees_)) {}
+    : slots_(std::move(other.slots_)) {}
 
 Layout::LayerTrees& Layout::LayerTrees::operator=(LayerTrees&& other) noexcept {
   std::lock_guard<std::mutex> lock(mutex_);
-  trees_ = std::move(other.trees_);
-  ++generation_;
+  slots_ = std::move(other.slots_);
   return *this;
 }
 
-std::pair<Layout::Tree, std::uint64_t> Layout::LayerTrees::find(
-    const std::string& digest) const {
+Layout::Slot Layout::LayerTrees::slot(const std::string& digest,
+                                      const std::shared_ptr<const std::string>& bytes) {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = trees_.find(digest);
-  return {it == trees_.end() ? nullptr : it->second, generation_};
+  Slot& kept = slots_[digest];
+  if (kept == nullptr || kept->bytes != bytes) kept = std::make_shared<detail::LayerSlot>(bytes);
+  return kept;
 }
 
-void Layout::LayerTrees::keep(const std::string& digest, Tree tree, std::uint64_t generation) {
+void Layout::LayerTrees::keep(const std::string& digest, Slot slot) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (generation == generation_) trees_.emplace(digest, std::move(tree));
+  slots_.insert_or_assign(digest, std::move(slot));
 }
 
 void Layout::LayerTrees::drop(const std::string& digest) {
   std::lock_guard<std::mutex> lock(mutex_);
-  trees_.erase(digest);
-  ++generation_;
+  slots_.erase(digest);
 }
 
 void Layout::LayerTrees::clear() {
   std::lock_guard<std::mutex> lock(mutex_);
-  trees_.clear();
-  ++generation_;
+  slots_.clear();
 }
 
 Layout::Layout() : blobs_(std::make_shared<store::MemStore>(), std::string(kBlobKeyPrefix)) {}
@@ -289,21 +321,24 @@ Status Layout::persist_index() {
   return backend.put(kIndexKey, json::serialize(index_json_impl(/*lenient=*/true)));
 }
 
+void Layout::check_torn_put(const std::string& digest, std::string_view bytes) {
+  if (faults_ == nullptr) return;
+  if (auto torn = faults_->check_torn(kBlobPutSite, bytes.size()); torn.has_value()) {
+    // The medium persisted a prefix under the full content's digest — the
+    // classic torn blob fsck must find — and the process dies here.
+    COMT_ASSERT(blobs_.put_at(digest, std::string(bytes.substr(0, *torn))).ok(),
+                "layout: torn blob write failed");
+    trees_.drop(digest);
+    throw support::CrashInjected{std::string(kBlobPutSite)};
+  }
+}
+
 Descriptor Layout::put_blob(std::string blob, std::string_view media_type) {
   Descriptor descriptor;
   descriptor.media_type = std::string(media_type);
   descriptor.digest = Digest::of_blob(blob);
   descriptor.size = blob.size();
-  if (faults_ != nullptr) {
-    if (auto torn = faults_->check_torn(kBlobPutSite, blob.size()); torn.has_value()) {
-      // The medium persisted a prefix under the full content's digest — the
-      // classic torn blob fsck must find — and the process dies here.
-      COMT_ASSERT(blobs_.put_at(descriptor.digest.value, blob.substr(0, *torn)).ok(),
-                  "layout: torn blob write failed");
-      trees_.drop(descriptor.digest.value);
-      throw support::CrashInjected{std::string(kBlobPutSite)};
-    }
-  }
+  check_torn_put(descriptor.digest.value, blob);
   // put_at under the precomputed digest: a re-put of the same digest is
   // normally a no-op rewrite under content addressing — but it heals a blob
   // an earlier torn write left truncated under this digest.
@@ -311,6 +346,28 @@ Descriptor Layout::put_blob(std::string blob, std::string_view media_type) {
               "layout: blob store put failed");
   trees_.drop(descriptor.digest.value);
   return descriptor;
+}
+
+Result<SharedBlob> Layout::share_blob(const Digest& digest) const {
+  auto bytes = blobs_.get_shared(digest.value);
+  if (!bytes.ok()) return make_error(Errc::not_found, "no such blob: " + digest.value);
+  SharedBlob shared;
+  shared.bytes_ = std::move(bytes).value();
+  if (!attached_) shared.slot_ = trees_.slot(digest.value, shared.bytes_);
+  return shared;
+}
+
+Status Layout::adopt_blob(const Descriptor& descriptor, SharedBlob shared) {
+  COMT_TRY_STATUS(shared.verify(descriptor.digest));
+  const std::string& digest = descriptor.digest.value;
+  check_torn_put(digest, shared.bytes());
+  COMT_TRY_STATUS(blobs_.put_shared_at(digest, std::move(shared.bytes_)));
+  if (attached_ || shared.slot_ == nullptr) {
+    trees_.drop(digest);
+  } else {
+    trees_.keep(digest, std::move(shared.slot_));
+  }
+  return Status::success();
 }
 
 void Layout::set_blob_bytes(const Digest& digest, std::string bytes) {
@@ -439,12 +496,10 @@ Result<vfs::Filesystem> Layout::flatten(const Image& image) const {
 }
 
 Result<Layout::Tree> Layout::layer_tree(const Descriptor& layer) const {
-  auto [kept, generation] = trees_.find(layer.digest.value);
-  if (kept != nullptr) return kept;
-  COMT_TRY(vfs::Filesystem unpacked, read_layer(layer));
-  auto tree = std::make_shared<const vfs::Filesystem>(std::move(unpacked));
-  if (!attached_) trees_.keep(layer.digest.value, tree, generation);
-  return tree;
+  COMT_TRY(SharedBlob shared, share_blob(layer.digest));
+  if (shared.slot_ != nullptr) return shared.slot_->tree();
+  COMT_TRY(vfs::Filesystem unpacked, tar::unpack(shared.bytes()));
+  return std::make_shared<const vfs::Filesystem>(std::move(unpacked));
 }
 
 Descriptor Layout::put_layer(const vfs::Filesystem& tree) {

@@ -106,6 +106,33 @@ struct Image {
   ImageConfig config;
 };
 
+namespace detail {
+/// The unpacked tree of one stored layer buffer (defined in oci.cpp).
+struct LayerSlot;
+}  // namespace detail
+
+/// A stored blob handed from one layout to another by reference
+/// (Layout::share_blob, then Layout::adopt_blob): the immutable buffer, and
+/// the slot its unpacked tree lives in, so a tree unpacked by any layout
+/// that holds the buffer serves every other one. A blob shared by an
+/// attached layout is a fresh copy of its bytes and has no slot.
+class SharedBlob {
+ public:
+  const std::string& bytes() const { return *bytes_; }
+
+  /// Checks the bytes' SHA-256 against `digest`: Errc::corrupt, naming the
+  /// digest, when they differ. A passed check is remembered, so adopting
+  /// this handle under the same digest does not hash the bytes again.
+  Status verify(const Digest& digest);
+
+ private:
+  friend class Layout;
+  SharedBlob() = default;  ///< only Layout::share_blob makes one
+  std::shared_ptr<const std::string> bytes_;
+  std::shared_ptr<detail::LayerSlot> slot_;
+  Digest verified_;  ///< the digest the bytes were checked against, if any
+};
+
 /// An OCI layout: content-addressed blobs plus an index mapping ref-name
 /// tags to manifests. Blob bytes live in a store::CasStore — a MemStore by
 /// default (pure in-memory, the historical behaviour), or any backend handed
@@ -113,20 +140,22 @@ struct Image {
 /// paper's workflow mounts into containers at /.coMtainer/io, maintained
 /// live instead of via one-shot save_layout).
 ///
-/// An in-memory layout also keeps each layer it has flattened unpacked, next
-/// to the layer's blob, so the next flatten binds the kept tree's nodes
-/// instead of reading and un-tarring the bytes again. Any write or removal
-/// of a digest through the layout drops that digest's tree, so flatten
-/// always returns the fold of apply_layer over tar::unpack of the bytes
-/// stored at that moment, damaged bytes included. An attached layout keeps
-/// no trees: another writer can change its backend.
+/// An in-memory layout also keeps each layer it has flattened unpacked, in a
+/// slot bound to the layer's stored buffer, so the next flatten binds the
+/// kept tree's nodes instead of un-tarring the bytes again. A slot never
+/// holds the tree of other bytes: flatten uses the slot of the buffer stored
+/// at that moment, so it always returns the fold of apply_layer over
+/// tar::unpack of the bytes stored now, damaged bytes included. Copies and
+/// adopters of a buffer share its slot; a write or removal of a digest drops
+/// the digest's slot. An attached layout keeps no trees: another writer can
+/// change its backend.
 class Layout {
  public:
   Layout();
 
   /// Copies are always private in-memory snapshots. A copy of an in-memory
-  /// layout copies its MemStore, sharing every blob buffer and every kept
-  /// layer tree, so copying costs a pointer per blob, not a copy per byte;
+  /// layout copies its MemStore, sharing every blob buffer and every layer
+  /// slot, so copying costs a pointer per blob, not a copy per byte;
   /// writes on either side stay invisible to the other. A copy of an
   /// attached layout copies the blob bytes into a fresh MemStore. This is
   /// what lets every service job work on its own copy of a shared base
@@ -172,6 +201,19 @@ class Layout {
   /// Digests of every stored blob (sorted; the map order).
   std::vector<Digest> blob_digests() const;
 
+  /// The stored buffer of `digest` and its layer slot, for adopt_blob into
+  /// another layout (Errc::not_found when absent). Unverified, like
+  /// get_blob. An attached layout reads the bytes into a fresh buffer and
+  /// hands over no slot. Safe to call from several threads at once.
+  Result<SharedBlob> share_blob(const Digest& digest) const;
+
+  /// Stores a shared blob under `descriptor.digest`, only if its SHA-256
+  /// equals that digest; otherwise returns Errc::corrupt and stores nothing.
+  /// An in-memory layout keeps the buffer and its slot, an attached one
+  /// writes the bytes. Replaces any bytes stored under the digest (a heal,
+  /// like put_blob), and checks kBlobPutSite exactly once, as put_blob does.
+  Status adopt_blob(const Descriptor& descriptor, SharedBlob shared);
+
   /// Drops a blob from the store. Returns the bytes freed, 0 when absent or
   /// pinned. The caller owns referential integrity — a registry
   /// garbage-collecting unreferenced blobs, never a reachable one.
@@ -213,8 +255,9 @@ class Layout {
 
   /// Applies all layers of `image` in order over an empty root — the final
   /// container filesystem (the "POSIX file system simulator" of §4.5).
-  /// Reuses each layer's kept tree; an in-memory layout keeps the trees it
-  /// unpacks. Safe to call from several threads at once.
+  /// Reuses each layer's kept tree; an in-memory layout unpacks a layer
+  /// straight from its stored buffer, once, and keeps the tree in the
+  /// buffer's slot. Safe to call from several threads at once.
   Result<vfs::Filesystem> flatten(const Image& image) const;
 
   /// Packs `tree` as a tar layer blob and returns its layer descriptor.
@@ -243,11 +286,11 @@ class Layout {
 
  private:
   using Tree = std::shared_ptr<const vfs::Filesystem>;
+  using Slot = std::shared_ptr<detail::LayerSlot>;
 
-  /// Unpacked layer trees by layer digest. Trees are immutable and shared
-  /// with copies. One mutex guards the map and is never held while a layer
-  /// unpacks; a generation count, bumped by every drop, stops a tree
-  /// unpacked from bytes that were replaced meanwhile from being kept.
+  /// Layer slots by digest, shared with copies and adopters. Each slot is
+  /// bound to the buffer stored under its digest when it was made; one
+  /// mutex guards the map, and each slot's own mutex its tree.
   class LayerTrees {
    public:
     LayerTrees() = default;
@@ -255,24 +298,27 @@ class Layout {
     LayerTrees(LayerTrees&& other) noexcept;
     LayerTrees& operator=(LayerTrees&& other) noexcept;
 
-    /// The kept tree of `digest` (null when none) and the generation to
-    /// hand keep() after unpacking it.
-    std::pair<Tree, std::uint64_t> find(const std::string& digest) const;
-    /// Keeps `tree` unless a drop happened since `generation`.
-    void keep(const std::string& digest, Tree tree, std::uint64_t generation);
+    /// The slot of `digest` bound to `bytes`: the kept one, or a new one,
+    /// kept from now on, when there is none or it is bound to other bytes.
+    Slot slot(const std::string& digest, const std::shared_ptr<const std::string>& bytes);
+    /// Keeps an adopted blob's slot for `digest`.
+    void keep(const std::string& digest, Slot slot);
     void drop(const std::string& digest);
     void clear();
 
    private:
     mutable std::mutex mutex_;
-    std::map<std::string, Tree> trees_;
-    std::uint64_t generation_ = 0;
+    std::map<std::string, Slot> slots_;
   };
 
   void copy_blobs_from(const Layout& other);
-  /// The unpacked tree of `layer`: the kept one, or a fresh unpack of the
-  /// stored bytes (kept unless attached).
+  /// The unpacked tree of `layer`: its slot's, unpacked on first use (an
+  /// attached layout unpacks a fresh copy every time).
   Result<Tree> layer_tree(const Descriptor& layer) const;
+  /// The kBlobPutSite check of a blob write: when an armed schedule fires,
+  /// stores a torn prefix of `bytes` under `digest` and throws
+  /// CrashInjected.
+  void check_torn_put(const std::string& digest, std::string_view bytes);
   json::Value index_json_impl(bool lenient) const;
   /// Writes "oci-layout" + "index.json" through the backend when attached.
   Status persist_index();

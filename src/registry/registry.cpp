@@ -12,17 +12,6 @@ std::string make_reference(std::string_view name, std::string_view tag) {
   return std::string(name) + ":" + std::string(tag);
 }
 
-/// Copies one blob across layouts, counting bytes only when the destination
-/// does not already hold it (content-addressed dedup, like a real registry).
-Status transfer_blob(const oci::Layout& from, oci::Layout& to, const oci::Descriptor& blob,
-                     std::uint64_t& transferred) {
-  if (to.has_blob(blob.digest)) return Status::success();
-  COMT_TRY(std::string content, from.get_blob(blob.digest));
-  transferred += content.size();
-  to.put_blob(std::move(content), blob.media_type);
-  return Status::success();
-}
-
 }  // namespace
 
 Status Registry::attach(std::shared_ptr<store::KvStore> backend) {
@@ -98,12 +87,17 @@ Status Registry::ingest_blob_locked(const oci::Layout& source, const oci::Descri
     }
     return Status::success();
   }
-  COMT_TRY(std::string content, source.get_blob(blob.digest));
-  std::uint64_t moved = content.size();
+  COMT_TRY(oci::SharedBlob content, source.share_blob(blob.digest));
+  // Checked before any chunk is written: a local blob whose bytes do not
+  // match its digest is refused, and the reference is never written.
+  COMT_TRY_STATUS(content.verify(blob.digest));
+  const std::uint64_t size = content.bytes().size();
+  std::uint64_t moved = size;
   if (chunks_ != nullptr) {
     // The chunk store is the distribution substrate: only the chunks it is
     // missing count as transferred, whatever the blob-level picture says.
-    COMT_TRY(transfer::DeltaReport delta, transfer::push_delta(content, base_digests, *chunks_));
+    COMT_TRY(transfer::DeltaReport delta,
+             transfer::push_delta(content.bytes(), base_digests, *chunks_));
     moved = delta.bytes_moved;
     transfer_.chunk_bytes_moved += delta.bytes_moved;
     transfer_.chunk_bytes_deduped += delta.bytes_deduped;
@@ -117,17 +111,41 @@ Status Registry::ingest_blob_locked(const oci::Layout& source, const oci::Descri
   }
   if (report != nullptr) {
     ++report->blobs_moved;
-    report->image_bytes += content.size();
+    report->image_bytes += size;
     report->bytes_moved += moved;
   }
   transfer_.pushed_bytes += moved;
-  store_.put_blob(std::move(content), blob.media_type);
-  return Status::success();
+  return store_.adopt_blob(blob, std::move(content));
+}
+
+Status Registry::ingest_manifest_locked(const oci::Layout& source, const oci::Digest& digest,
+                                        ImageDeltaReport* report) {
+  COMT_TRY(oci::SharedBlob manifest, source.share_blob(digest));
+  COMT_TRY_STATUS(manifest.verify(digest));
+  const std::uint64_t size = manifest.bytes().size();
+  if (report != nullptr) {
+    ++report->blobs_total;
+    report->image_bytes += size;
+  }
+  if (!store_.has_blob(digest)) {
+    transfer_.pushed_bytes += size;
+    if (report != nullptr) {
+      report->bytes_moved += size;
+      ++report->blobs_moved;
+    }
+  } else if (report != nullptr) {
+    report->bytes_deduped += size;
+    ++report->blobs_reused;
+  }
+  // Adopted even when held: re-storing the true bytes heals a manifest an
+  // earlier torn push left truncated under this digest.
+  return store_.adopt_blob(oci::Descriptor{std::string(oci::kMediaTypeManifest), digest, size, {}},
+                           std::move(manifest));
 }
 
 Status Registry::push(const oci::Layout& source, std::string_view local_tag,
-                      std::string_view name, std::string_view tag) {
-  obs::Span span = obs::maybe_span(tracer_, "registry.push", obs::kNoSpan, "blob-push");
+                      std::string_view name, std::string_view tag, obs::SpanId parent) {
+  obs::Span span = obs::maybe_span(tracer_, "registry.push", parent, "blob-push");
   span.annotate("image", make_reference(name, tag));
   if (faults_ != nullptr) COMT_TRY_STATUS(faults_->check(kPushFaultSite));
   COMT_TRY(oci::Image image, source.find_image(local_tag));
@@ -137,9 +155,7 @@ Status Registry::push(const oci::Layout& source, std::string_view local_tag,
   for (const oci::Descriptor& layer : image.manifest.layers) {
     COMT_TRY_STATUS(ingest_blob_locked(source, layer, {}, nullptr));
   }
-  COMT_TRY(std::string manifest_blob, source.get_blob(image.manifest_digest));
-  if (!store_.has_blob(image.manifest_digest)) transfer_.pushed_bytes += manifest_blob.size();
-  store_.put_blob(std::move(manifest_blob), oci::kMediaTypeManifest);
+  COMT_TRY_STATUS(ingest_manifest_locked(source, image.manifest_digest, nullptr));
   const std::string reference = make_reference(name, tag);
   references_[reference] = image.manifest_digest;
   // Mirror the reference into the store's index so oci::fsck on the backing
@@ -191,18 +207,7 @@ Result<ImageDeltaReport> Registry::push_delta(const oci::Layout& source,
   for (const oci::Descriptor& layer : image.manifest.layers) {
     COMT_TRY_STATUS(ingest_blob_locked(source, layer, base_digests, &report));
   }
-  COMT_TRY(std::string manifest_blob, source.get_blob(image.manifest_digest));
-  ++report.blobs_total;
-  report.image_bytes += manifest_blob.size();
-  if (!store_.has_blob(image.manifest_digest)) {
-    transfer_.pushed_bytes += manifest_blob.size();
-    report.bytes_moved += manifest_blob.size();
-    ++report.blobs_moved;
-  } else {
-    report.bytes_deduped += manifest_blob.size();
-    ++report.blobs_reused;
-  }
-  store_.put_blob(std::move(manifest_blob), oci::kMediaTypeManifest);
+  COMT_TRY_STATUS(ingest_manifest_locked(source, image.manifest_digest, &report));
   const std::string reference = make_reference(name, tag);
   references_[reference] = image.manifest_digest;
   store_.tag_manifest(reference, image.manifest_digest);
@@ -288,30 +293,51 @@ Result<ImageDeltaReport> Registry::pull_delta(std::string_view name, std::string
 }
 
 Status Registry::pull(std::string_view name, std::string_view tag, oci::Layout& destination,
-                      std::string_view local_tag) const {
-  obs::Span span = obs::maybe_span(tracer_, "registry.pull", obs::kNoSpan, "pull");
+                      std::string_view local_tag, obs::SpanId parent) const {
+  obs::Span span = obs::maybe_span(tracer_, "registry.pull", parent, "pull");
   span.annotate("image", make_reference(name, tag));
   if (faults_ != nullptr) COMT_TRY_STATUS(faults_->check(kPullFaultSite));
-  // Writer lock: pull reads the store but also updates the transfer counters.
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  auto it = references_.find(make_reference(name, tag));
-  if (it == references_.end()) {
-    return make_error(Errc::not_found, "registry: no such image " + make_reference(name, tag));
+  oci::Image image;
+  // Each blob the destination lacks, by reference to the hub's buffer.
+  std::vector<std::pair<oci::Descriptor, oci::SharedBlob>> fetched;
+  std::uint64_t moved = 0;
+  {
+    // Reader lock, held only to resolve, load and share: hashing happens
+    // after it is released, so a push never waits for a pull's hashing.
+    std::shared_lock<std::shared_mutex> lock(mutex_);
+    auto it = references_.find(make_reference(name, tag));
+    if (it == references_.end()) {
+      return make_error(Errc::not_found, "registry: no such image " + make_reference(name, tag));
+    }
+    COMT_TRY(image, store_.load_image(it->second));
+    auto fetch = [&](const oci::Descriptor& blob) -> Status {
+      if (destination.has_blob(blob.digest)) return Status::success();
+      for (const auto& [held, shared] : fetched) {
+        if (held.digest == blob.digest) return Status::success();
+      }
+      COMT_TRY(oci::SharedBlob shared, store_.share_blob(blob.digest));
+      moved += shared.bytes().size();
+      fetched.emplace_back(blob, std::move(shared));
+      return Status::success();
+    };
+    COMT_TRY_STATUS(fetch(image.manifest.config));
+    for (const oci::Descriptor& layer : image.manifest.layers) COMT_TRY_STATUS(fetch(layer));
+    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+    transfer_.pulled_bytes += moved;
   }
-  const std::uint64_t pulled_before = transfer_.pulled_bytes;
-  COMT_TRY(oci::Image image, store_.load_image(it->second));
-  COMT_TRY_STATUS(
-      transfer_blob(store_, destination, image.manifest.config, transfer_.pulled_bytes));
-  for (const oci::Descriptor& layer : image.manifest.layers) {
-    COMT_TRY_STATUS(transfer_blob(store_, destination, layer, transfer_.pulled_bytes));
+  // Every fetched blob is hashed before any is adopted: a damaged hub blob
+  // fails the pull as Errc::corrupt and leaves the destination as it was.
+  for (auto& [blob, shared] : fetched) COMT_TRY_STATUS(shared.verify(blob.digest));
+  for (auto& [blob, shared] : fetched) {
+    COMT_TRY_STATUS(destination.adopt_blob(blob, std::move(shared)));
   }
   COMT_TRY(oci::Digest digest, destination.add_manifest(image.manifest, local_tag));
   (void)digest;
   if (pulls_ != nullptr) {
     pulls_->add();
-    pulled_bytes_->add(transfer_.pulled_bytes - pulled_before);
+    pulled_bytes_->add(moved);
   }
-  span.annotate("bytes", transfer_.pulled_bytes - pulled_before);
+  span.annotate("bytes", moved);
   return Status::success();
 }
 
@@ -449,7 +475,11 @@ oci::FsckReport Registry::fsck(bool repair, const oci::BlobFetcher& origin) {
 
 Stats Registry::stats() const {
   std::shared_lock<std::shared_mutex> lock(mutex_);
-  Stats out = transfer_;
+  Stats out;
+  {
+    std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+    out = transfer_;
+  }
   out.repositories = references_.size();
   out.blobs = store_.blob_count();
   out.stored_bytes = store_.total_blob_bytes();

@@ -1,17 +1,23 @@
 // An in-memory OCI image registry: the "repository" box in the paper's
-// workflow (Fig. 1/4). Push copies an image (manifest, config, layers) from a
-// local layout into the registry store; pull copies it back out. Blobs are
-// content-addressed, so repeated pushes of shared base layers deduplicate.
+// workflow (Fig. 1/4). Push transfers an image (manifest, config, layers)
+// from a local layout into the registry store; pull transfers it back out.
+// A transfer hands over the immutable blob buffer (oci::Layout::share_blob/
+// adopt_blob) instead of copying it, and the receiving side SHA-256-checks
+// every blob it adopts against its descriptor. Blobs are content-addressed,
+// so repeated pushes of shared base layers deduplicate.
 //
 // The registry is shared by every tenant of the rebuild service, so all
-// operations are thread-safe: mutations (push, pull's transfer accounting,
-// remove) run under the writer lock, queries under the reader lock. An
-// optional support::FaultInjector hook lets tests and benchmarks make
+// operations are thread-safe: mutations (push, remove, gc, fsck) run under
+// the writer lock; queries and pulls under the reader lock, which a pull
+// holds only to share the blobs it needs and releases before hashing them.
+// The pulled-byte counter moves under a leaf mutex that stats() also takes.
+// An optional support::FaultInjector hook lets tests and benchmarks make
 // push/pull fail transiently like a real network registry would.
 #pragma once
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -86,13 +92,21 @@ class Registry {
   Status open_directory(const std::string& directory);
 
   /// Pushes the image tagged `local_tag` in `source` under "name:tag".
-  /// Only blobs the registry does not already hold are "transferred".
+  /// Only blobs the registry does not already hold are "transferred"; each
+  /// must match its digest, or the push fails with Errc::corrupt and the
+  /// reference is not written. The "registry.push" span opens under
+  /// `parent`.
   Status push(const oci::Layout& source, std::string_view local_tag,
-              std::string_view name, std::string_view tag);
+              std::string_view name, std::string_view tag,
+              obs::SpanId parent = obs::kNoSpan);
 
-  /// Pulls "name:tag" into `destination`, tagging it `local_tag`.
+  /// Pulls "name:tag" into `destination`, tagging it `local_tag`. Every
+  /// blob `destination` lacks is checked against its digest before any is
+  /// adopted: a damaged hub blob fails the pull with Errc::corrupt and
+  /// leaves `destination` unchanged. The "registry.pull" span opens under
+  /// `parent`.
   Status pull(std::string_view name, std::string_view tag, oci::Layout& destination,
-              std::string_view local_tag) const;
+              std::string_view local_tag, obs::SpanId parent = obs::kNoSpan) const;
 
   /// Turns on chunk-level dedup: every push additionally lands the image's
   /// blobs in `chunks` (content-defined chunks + manifests), and pushed_bytes
@@ -172,8 +186,9 @@ class Registry {
     store_.set_fault_injector(faults);
   }
 
-  /// Attaches observability: push/pull/gc/fsck each emit a root-level span
-  /// ("registry.<op>") and bump "registry.<op>s" counters; transferred bytes
+  /// Attaches observability: push/pull/gc/fsck each emit a span
+  /// ("registry.<op>"; push and pull under their `parent`, the others at the
+  /// root) and bump "registry.<op>s" counters; transferred bytes
   /// go to "registry.pulled_bytes"/"registry.pushed_bytes". Either pointer
   /// may be nullptr. Not synchronized with concurrent operations — wire it up
   /// before sharing the registry.
@@ -184,12 +199,20 @@ class Registry {
   Status ingest_blob_locked(const oci::Layout& source, const oci::Descriptor& blob,
                             const std::vector<std::string>& base_digests,
                             ImageDeltaReport* report);
+  /// Adopts `source`'s manifest blob `digest`, counting it as moved when the
+  /// registry does not hold it yet.
+  Status ingest_manifest_locked(const oci::Layout& source, const oci::Digest& digest,
+                                ImageDeltaReport* report);
 
   mutable std::shared_mutex mutex_;
   oci::Layout store_;
   std::map<std::string, oci::Digest> references_;  // "name:tag" -> manifest
   std::shared_ptr<transfer::ChunkStore> chunks_;
+  /// Written under the writer lock, except pulled_bytes: a pull adds to it
+  /// under the reader lock plus stats_mutex_ (a leaf: nothing is locked
+  /// while it is held), and stats() reads under both.
   mutable Stats transfer_;
+  mutable std::mutex stats_mutex_;
   support::FaultInjector* faults_ = nullptr;
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

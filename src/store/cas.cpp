@@ -58,6 +58,21 @@ Status CasStore::put_at(std::string_view digest, std::string bytes) {
   return backend_->put(key, std::move(bytes));
 }
 
+Result<std::shared_ptr<const std::string>> CasStore::get_shared(std::string_view digest) const {
+  COMT_TRY(std::string key, key_for(digest));
+  auto bytes = backend_->get_shared(key);
+  if (!bytes.ok() && bytes.error().code == Errc::not_found) {
+    return make_error(Errc::not_found, "no such blob: " + std::string(digest));
+  }
+  return bytes;
+}
+
+Status CasStore::put_shared_at(std::string_view digest,
+                               std::shared_ptr<const std::string> bytes) {
+  COMT_TRY(std::string key, key_for(digest));
+  return backend_->put_shared(key, std::move(bytes));
+}
+
 bool CasStore::contains(std::string_view digest) const {
   auto key = key_for(digest);
   return key.ok() && backend_->contains(key.value());

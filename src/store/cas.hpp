@@ -40,6 +40,12 @@ class CasStore {
   /// trusts digest↔bytes (a layout copy) avoids re-hashing.
   Status put_at(std::string_view digest, std::string bytes);
 
+  /// get_unverified() and put_at() as immutable shared buffers
+  /// (KvStore::get_shared/put_shared): over a MemStore, a blob moves between
+  /// stores without its bytes being copied.
+  Result<std::shared_ptr<const std::string>> get_shared(std::string_view digest) const;
+  Status put_shared_at(std::string_view digest, std::shared_ptr<const std::string> bytes);
+
   bool contains(std::string_view digest) const;
 
   /// Drops `digest`. Returns the stored size in bytes, 0 when absent.

@@ -44,6 +44,15 @@ Result<bool> KvStore::compare_and_put(std::string_view key,
   return true;
 }
 
+Result<std::shared_ptr<const std::string>> KvStore::get_shared(std::string_view key) const {
+  COMT_TRY(std::string value, get(key));
+  return std::make_shared<const std::string>(std::move(value));
+}
+
+Status KvStore::put_shared(std::string_view key, std::shared_ptr<const std::string> value) {
+  return put(key, *value);
+}
+
 obs::Span KvStore::sync_span() const {
   return obs::maybe_span(tracer_, "store.sync", obs::kNoSpan, "store");
 }
@@ -54,6 +63,11 @@ MemStore::MemStore(const MemStore& other) : KvStore() {
 }
 
 Result<std::string> MemStore::get(std::string_view key) const {
+  COMT_TRY(std::shared_ptr<const std::string> value, get_shared(key));
+  return *value;
+}
+
+Result<std::shared_ptr<const std::string>> MemStore::get_shared(std::string_view key) const {
   if (key.empty()) return make_error(Errc::invalid_argument, "store: empty key");
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
@@ -61,24 +75,27 @@ Result<std::string> MemStore::get(std::string_view key) const {
     return make_error(Errc::not_found, "store: no such key: " + std::string(key));
   }
   note_get(it->second->size());
-  return *it->second;
+  return it->second;
 }
 
 Status MemStore::put(std::string_view key, std::string value) {
+  return put_shared(key, std::make_shared<const std::string>(std::move(value)));
+}
+
+Status MemStore::put_shared(std::string_view key, std::shared_ptr<const std::string> value) {
   if (key.empty()) return make_error(Errc::invalid_argument, "store: empty key");
   std::optional<std::size_t> torn;
-  if (faults() != nullptr) torn = faults()->check_torn(kStorePutSite, value.size());
+  if (faults() != nullptr) torn = faults()->check_torn(kStorePutSite, value->size());
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (torn.has_value()) {
       // The medium persisted a prefix and the process dies here — the
       // in-memory analogue of a half-flushed file.
       entries_.insert_or_assign(std::string(key),
-                                std::make_shared<const std::string>(value.substr(0, *torn)));
+                                std::make_shared<const std::string>(value->substr(0, *torn)));
     } else {
-      note_put(value.size());
-      entries_.insert_or_assign(std::string(key),
-                                std::make_shared<const std::string>(std::move(value)));
+      note_put(value->size());
+      entries_.insert_or_assign(std::string(key), std::move(value));
     }
   }
   if (torn.has_value()) throw support::CrashInjected{std::string(kStorePutSite)};

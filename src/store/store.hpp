@@ -60,6 +60,14 @@ class KvStore {
   /// support::CrashInjected — the next get() of the key reports corruption.
   virtual Status put(std::string_view key, std::string value) = 0;
 
+  /// get() as an immutable shared buffer. MemStore hands over the buffer it
+  /// stores; other backends read the bytes into a fresh one.
+  virtual Result<std::shared_ptr<const std::string>> get_shared(std::string_view key) const;
+
+  /// put() of an immutable shared buffer. MemStore stores the buffer itself
+  /// (no copy); other backends write its bytes. Torn-write injection as put.
+  virtual Status put_shared(std::string_view key, std::shared_ptr<const std::string> value);
+
   /// Drops `key`. Removing an absent key succeeds (erase is idempotent —
   /// crash-retry loops re-erase freely).
   virtual Status erase(std::string_view key) = 0;
@@ -144,7 +152,8 @@ class KvStore {
 /// immutable shared buffer, so a copy of the store costs one pointer per key:
 /// the copy shares the source's buffers, and a put on either side replaces
 /// its own buffer, invisible to the other. get() still returns a copy of the
-/// bytes. A copy starts with no observer and no fault injector.
+/// bytes; get_shared()/put_shared() hand buffers over without one. A copy
+/// starts with no observer and no fault injector.
 class MemStore final : public KvStore {
  public:
   MemStore() = default;
@@ -152,6 +161,8 @@ class MemStore final : public KvStore {
 
   Result<std::string> get(std::string_view key) const override;
   Status put(std::string_view key, std::string value) override;
+  Result<std::shared_ptr<const std::string>> get_shared(std::string_view key) const override;
+  Status put_shared(std::string_view key, std::shared_ptr<const std::string> value) override;
   Status erase(std::string_view key) override;
   bool contains(std::string_view key) const override;
   Result<std::uint64_t> size(std::string_view key) const override;

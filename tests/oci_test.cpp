@@ -385,6 +385,80 @@ TEST(LayoutTest, ConcurrentCopiesAndFlattensOfOneTemplate) {
   EXPECT_EQ(mismatches.load(), 0);
 }
 
+/// Adopts every blob of `image` from `source` into `target` by reference and
+/// tags it, the way a registry pull does.
+Status adopt_image(const Layout& source, const Image& image, Layout& target) {
+  std::vector<Descriptor> blobs = image.manifest.layers;
+  blobs.push_back(image.manifest.config);
+  for (const Descriptor& blob : blobs) {
+    COMT_TRY(SharedBlob shared, source.share_blob(blob.digest));
+    COMT_TRY_STATUS(target.adopt_blob(blob, std::move(shared)));
+  }
+  COMT_TRY(Digest digest, target.add_manifest(image.manifest, "adopted"));
+  (void)digest;
+  return Status::success();
+}
+
+TEST(LayoutTest, AdoptedBlobsShareTheirTreeAndKeepTheirOwnBytes) {
+  Layout source;
+  auto image = two_layer_image(source);
+  ASSERT_TRUE(image.ok());
+  const Descriptor lower = image.value().manifest.layers.front();
+  const Descriptor upper = image.value().manifest.layers.back();
+  const std::string pristine = source.get_blob(upper.digest).value();
+
+  // Bytes that do not match the descriptor are refused, and nothing moves.
+  Layout refused;
+  const Digest held = refused.put_blob("already here", "text/plain").digest;
+  auto mismatched = source.share_blob(lower.digest);
+  ASSERT_TRUE(mismatched.ok());
+  Status refusal = refused.adopt_blob(upper, std::move(mismatched).value());
+  ASSERT_FALSE(refusal.ok());
+  EXPECT_EQ(refusal.error().code, Errc::corrupt);
+  EXPECT_NE(refusal.error().message.find(upper.digest.value), std::string::npos);
+  EXPECT_EQ(refused.blob_digests(), std::vector<Digest>{held});
+  EXPECT_TRUE(refused.fsck().ok());
+
+  // Two adopters of one source flatten to the fold of tar::unpack, binding
+  // the nodes of the one tree the first flatten unpacked.
+  Layout first;
+  Layout second;
+  ASSERT_TRUE(adopt_image(source, image.value(), first).ok());
+  ASSERT_TRUE(adopt_image(source, image.value(), second).ok());
+  const auto expected = fold_of_stored_bytes(source, image.value());
+  ASSERT_TRUE(expected.ok());
+  auto first_root = first.flatten(image.value());
+  auto second_root = second.flatten(image.value());
+  expect_same(first_root, expected, "first adopter");
+  expect_same(second_root, expected, "second adopter");
+  ASSERT_TRUE(first_root.ok() && second_root.ok());
+  EXPECT_EQ(first_root.value().lookup("/marker"), second_root.value().lookup("/marker"));
+  auto source_root = source.flatten(image.value());
+  ASSERT_TRUE(source_root.ok());
+  EXPECT_EQ(source_root.value().lookup("/marker"), first_root.value().lookup("/marker"));
+
+  // Damage on the source shows in the source's flatten, not in an adopter's.
+  std::string flipped = pristine;
+  const std::size_t payload = flipped.find("upper-marker-payload");
+  ASSERT_NE(payload, std::string::npos);
+  flipped[payload] = 'U';
+  source.set_blob_bytes(upper.digest, flipped);
+  auto damaged = source.flatten(image.value());
+  expect_same(damaged, fold_of_stored_bytes(source, image.value()), "damaged source");
+  ASSERT_TRUE(damaged.ok());
+  EXPECT_EQ(damaged.value().read_file("/marker").value(), "Upper-marker-payload");
+  for (const Layout* adopter : {&first, &second}) {
+    EXPECT_EQ(adopter->get_blob(upper.digest).value(), pristine);
+    expect_same(adopter->flatten(image.value()), expected, "adopter after damage");
+    EXPECT_TRUE(adopter->fsck().ok());
+  }
+
+  // A put_blob heal restores the source's own view.
+  source.put_blob(pristine, kMediaTypeLayer);
+  expect_same(source.flatten(image.value()), expected, "healed source");
+  EXPECT_TRUE(source.fsck().ok());
+}
+
 // The paper's §4.5 file-system simulator: flattening multiple layers with
 // deletes/opaque markers, parameterized over layer counts.
 class FlattenDepth : public ::testing::TestWithParam<int> {};

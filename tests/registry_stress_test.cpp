@@ -210,5 +210,68 @@ TEST(RegistryStressTest, ConcurrentRemoveAndPushStaysConsistent) {
   EXPECT_EQ(hub.stats().repositories, 16u);
 }
 
+TEST(RegistryStressTest, ConcurrentPullsAndFlattensWhileRemoveSweeps) {
+  std::vector<vfs::Filesystem> layers;
+  for (int i = 0; i < 4; ++i) {
+    vfs::Filesystem layer;
+    ASSERT_TRUE(layer.write_file("/generation", std::to_string(i)).ok());
+    ASSERT_TRUE(layer.write_file("/data/file" + std::to_string(i), std::string(3000, 'a' + i)).ok());
+    layers.push_back(std::move(layer));
+  }
+  oci::Layout local;
+  ASSERT_TRUE(local.create_image(config(), layers, "app").ok());
+  // What the image flattens to in a layout that never shared a buffer.
+  oci::Layout never_shared;
+  auto reference = never_shared.create_image(config(), layers, "app");
+  ASSERT_TRUE(reference.ok());
+  const auto expected = never_shared.flatten(reference.value());
+  ASSERT_TRUE(expected.ok());
+  // Every puller works on a private copy of one base layout, as service
+  // tickets do with their system's Sysenv.
+  oci::Layout base;
+  auto base_image = base.create_image(config(), {tree("base")}, "base");
+  ASSERT_TRUE(base_image.ok());
+  ASSERT_TRUE(base.flatten(base_image.value()).ok());
+
+  Registry hub;
+  ASSERT_TRUE(hub.push(local, "app", "org/app", "1").ok());
+  std::atomic<int> flattened{0};
+  std::atomic<int> mismatches{0};
+  auto pull_and_flatten = [&] {
+    oci::Layout workspace = base;
+    Status pulled = hub.pull("org/app", "1", workspace, "pulled");
+    if (!pulled.ok()) {
+      // Only the gap between a remove and its re-push may fail a pull.
+      if (pulled.error().code != Errc::not_found) ++mismatches;
+      return;
+    }
+    auto image = workspace.find_image("pulled");
+    auto rootfs = image.ok() ? workspace.flatten(image.value()) : image.error();
+    if (rootfs.ok() && rootfs.value() == expected.value()) {
+      ++flattened;
+    } else {
+      ++mismatches;
+    }
+  };
+  std::vector<std::thread> pullers;
+  for (int t = 0; t < 4; ++t) {
+    pullers.emplace_back([&] {
+      for (int i = 0; i < 40; ++i) pull_and_flatten();
+    });
+  }
+  std::thread sweeper([&] {
+    for (int i = 0; i < 20; ++i) {
+      EXPECT_TRUE(hub.remove("org/app", "1").ok());
+      EXPECT_TRUE(hub.push(local, "app", "org/app", "1").ok());
+    }
+  });
+  for (std::thread& puller : pullers) puller.join();
+  sweeper.join();
+  pull_and_flatten();  // the image is back: this one must succeed
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(flattened.load(), 0);
+  EXPECT_TRUE(hub.fsck().clean());
+}
+
 }  // namespace
 }  // namespace comt::registry

@@ -93,5 +93,57 @@ TEST(RegistryTest, StatsTrackStore) {
   EXPECT_EQ(stats.pulled_bytes, 0u);
 }
 
+TEST(RegistryTest, PushOfDamagedLocalBlobIsRefused) {
+  for (const bool dedup : {false, true}) {
+    SCOPED_TRACE(dedup ? "chunk dedup" : "plain");
+    oci::Layout local;
+    auto image = local.create_image(config(), {tree("payload")}, "app:dev");
+    ASSERT_TRUE(image.ok());
+    const oci::Digest layer = image.value().manifest.layers.front().digest;
+    local.set_blob_bytes(layer, "garbage");
+
+    Registry hub;
+    auto chunks = std::make_shared<transfer::ChunkStore>(std::make_shared<store::MemStore>());
+    if (dedup) hub.enable_chunk_dedup(chunks);
+    Status pushed = hub.push(local, "app:dev", "org/app", "1.0");
+    ASSERT_FALSE(pushed.ok());
+    EXPECT_EQ(pushed.error().code, Errc::corrupt);
+    EXPECT_NE(pushed.error().message.find(layer.value), std::string::npos);
+    EXPECT_FALSE(hub.has("org/app", "1.0"));
+    EXPECT_TRUE(hub.fsck().clean());
+    EXPECT_FALSE(chunks->contains_blob(layer.value));
+    EXPECT_EQ(chunks->blob_count(), dedup ? 1u : 0u);  // the config only
+  }
+}
+
+TEST(RegistryTest, PullOfTornHubBlobIsCorruptAndAdoptsNothing) {
+  oci::Layout local;
+  auto image = local.create_image(config(), {tree("payload")}, "app:dev");
+  ASSERT_TRUE(image.ok());
+  const oci::Digest layer = image.value().manifest.layers.front().digest;
+
+  // The push dies writing its second blob, the layer, and leaves it torn.
+  Registry hub;
+  support::FaultInjector faults;
+  faults.tear_at(oci::kBlobPutSite, 2);
+  hub.set_fault_injector(&faults);
+  EXPECT_THROW((void)hub.push(local, "app:dev", "org/app", "1.0"), support::CrashInjected);
+  hub.set_fault_injector(nullptr);
+  // A second push deduplicates onto the torn layer and publishes the image.
+  ASSERT_TRUE(hub.push(local, "app:dev", "org/app", "1.0").ok());
+
+  oci::Layout destination;
+  ASSERT_TRUE(destination.create_image(config(), {tree("unrelated")}, "other").ok());
+  const std::size_t held = destination.blob_count();
+  Status pulled = hub.pull("org/app", "1.0", destination, "pulled");
+  ASSERT_FALSE(pulled.ok());
+  EXPECT_EQ(pulled.error().code, Errc::corrupt);
+  EXPECT_NE(pulled.error().message.find(layer.value), std::string::npos);
+  EXPECT_EQ(destination.blob_count(), held);
+  EXPECT_FALSE(destination.has_blob(image.value().manifest.config.digest));
+  EXPECT_FALSE(destination.find_image("pulled").ok());
+  EXPECT_TRUE(destination.fsck().ok());
+}
+
 }  // namespace
 }  // namespace comt::registry

@@ -5,6 +5,7 @@
 // surfacing, the shared cross-tenant compile cache, and graceful drain.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -72,6 +73,34 @@ TEST(ServiceTest, SubmitRebuildsAndPushesResult) {
   EXPECT_EQ(stats.succeeded, 1u);
   EXPECT_EQ(stats.coalesced, 0u);
   EXPECT_EQ(stats.retries, 0u);
+}
+
+TEST(ServiceTest, RegistrySpansNestUnderTheTicketsPullAndPushSpans) {
+  registry::Registry hub;
+  ASSERT_TRUE(publish(hub, "minimd", "hub/minimd", "1.0").ok());
+  obs::Tracer tracer;
+  hub.set_observer(&tracer, nullptr);
+  ServiceOptions options;
+  options.tracer = &tracer;
+  RebuildService svc(hub, options);
+  ASSERT_TRUE(svc.add_system(kSys, make_target()).ok());
+  auto ticket = svc.submit({"hub/minimd", "1.0", kSys});
+  ASSERT_TRUE(ticket.ok()) << ticket.error().to_string();
+  auto done = svc.wait(ticket.value());
+  ASSERT_TRUE(done.ok());
+  ASSERT_EQ(done.value().state, JobState::succeeded) << done.value().result.error().to_string();
+
+  std::map<obs::SpanId, std::string> names;
+  for (const obs::SpanRecord& span : tracer.snapshot()) names[span.id] = span.name;
+  std::map<std::string, int> nested;
+  for (const obs::SpanRecord& span : tracer.snapshot()) {
+    if (span.name != "registry.pull" && span.name != "registry.push") continue;
+    const std::string want = span.name == "registry.pull" ? "service.pull" : "service.push";
+    EXPECT_EQ(names[span.parent], want) << span.name;
+    ++nested[span.name];
+  }
+  EXPECT_EQ(nested["registry.pull"], 1);
+  EXPECT_EQ(nested["registry.push"], 1);
 }
 
 TEST(ServiceTest, UnknownImageAndUnknownSystemAreRejectedUpFront) {

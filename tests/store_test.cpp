@@ -123,6 +123,32 @@ TEST(MemStoreTest, CopySharesValuesButNotWrites) {
   EXPECT_TRUE(empty.list().empty());
 }
 
+TEST(MemStoreTest, SharedBuffersMoveWithoutACopyAndCount) {
+  MemStore kv;
+  obs::MetricsRegistry metrics;
+  kv.set_observer(nullptr, &metrics);
+  const auto buffer = std::make_shared<const std::string>("12345");
+  ASSERT_TRUE(kv.put_shared("k", buffer).ok());
+  auto shared = kv.get_shared("k");
+  ASSERT_TRUE(shared.ok());
+  EXPECT_EQ(shared.value(), buffer);  // the stored buffer itself
+  EXPECT_EQ(kv.get("k").value(), "12345");
+  EXPECT_EQ(kv.get_shared("absent").error().code, Errc::not_found);
+  EXPECT_EQ(metrics.counter_value("store.puts"), 1u);
+  EXPECT_EQ(metrics.counter_value("store.put_bytes"), 5u);
+  EXPECT_EQ(metrics.counter_value("store.gets"), 2u);
+  EXPECT_EQ(metrics.counter_value("store.get_bytes"), 10u);
+
+  // A torn put_shared persists a prefix, as put does; the buffer is intact.
+  support::FaultInjector faults;
+  faults.tear_next(kStorePutSite, 0.4);
+  kv.set_fault_injector(&faults);
+  EXPECT_THROW((void)kv.put_shared("k", std::make_shared<const std::string>("abcdefghij")),
+               support::CrashInjected);
+  EXPECT_EQ(kv.get("k").value(), "abcd");
+  EXPECT_EQ(*buffer, "12345");
+}
+
 TEST_F(StoreDirTest, DiskStoreHonoursKvContract) {
   DiskStore kv(dir());
   exercise_kv_contract(kv);
