@@ -246,15 +246,15 @@ int main(int argc, char** argv) {
                    pushed.error().to_string().c_str());
       return 1;
     }
-    auto delta = hub.push_delta(x86_world.layout(), optimized.value(), name, "optimized",
-                                {name + ":generic"});
+    registry::ImageDeltaReport report;
+    auto delta = hub.push(x86_world.layout(), optimized.value(), name, "optimized",
+                          {.bases = {name + ":generic"}, .report = &report});
     if (!delta.ok()) {
-      std::fprintf(stderr, "push_delta(%s): %s\n", app.name.c_str(),
+      std::fprintf(stderr, "push(%s optimized): %s\n", app.name.c_str(),
                    delta.error().to_string().c_str());
       return 1;
     }
 
-    const registry::ImageDeltaReport& report = delta.value();
     DeltaRow row;
     row.app = app.name;
     row.image_mib = workloads::to_sim_mib(report.image_bytes);

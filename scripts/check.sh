@@ -83,7 +83,9 @@ if [ "${COMT_SKIP_TSAN:-0}" != "1" ]; then
   # Layout|Flatten: layout copies share blob buffers and kept layer trees,
   # and concurrent flattens of one layout race to keep the same tree.
   # CrashResume: the sweep's 4-thread pass unwinds a wave-mode rebuild from
-  # its commit hook while the pool's workers are parked.
+  # its commit hook while the pool's workers are parked. RegistryStress
+  # includes pulls through per-puller chunk caches that read the hub's
+  # chunk store under the shared lock while a remove sweeps it.
   ctest --test-dir "$tsan_dir" --output-on-failure -j "$jobs" \
         -R 'Sched|SchedStress|ThreadPool|Dag|CompileCache|RegistryStress|Service|FaultInjector|Obs|Store|Fleet|Transfer|Layout|Flatten|CrashResume'
 
@@ -105,8 +107,10 @@ if [ "${COMT_SKIP_ASAN:-0}" != "1" ]; then
   # must see any read past a buffer's end. Vfs: node content is reallocated
   # to its exact size. Tar: the parser's truncation and bit-flip sweeps read
   # right up to every cut. Layout: kept layer trees outlive the bytes they
-  # were unpacked from. Registry: a pull holds the hub's blob buffers and
-  # their tree slots after the hub lock is released, while a remove sweeps.
+  # were unpacked from. Registry: a pull holds the hub's blob buffers, their
+  # tree slots and the blobs it reassembled from chunks after the hub lock
+  # is released, while a remove sweeps (RegistryStressTest runs it through
+  # local chunk caches too).
   ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" \
         -R 'Journal|Durable|Fsck|CrashResume|ServiceCrashRecovery|FaultInjector|LayoutPin|Registry|Store|Transfer|Sha256|Vfs|Tar|Layout'
 

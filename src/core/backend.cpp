@@ -126,7 +126,7 @@ Result<oci::Image> comtainer_build(oci::Layout& layout, std::string_view dist_ta
   models.image.image_tag = std::string(dist_tag);
 
   COMT_TRY(vfs::Filesystem cache_layer,
-           make_cache_layer(models, record, build_rootfs, cache_options));
+           make_cache_layer(models, build_rootfs, cache_options));
   std::string extended_tag = std::string(dist_tag) + std::string(kExtendedSuffix);
   return layout.append_layer(dist, cache_layer, "coMtainer-build", extended_tag);
 }

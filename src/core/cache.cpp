@@ -8,10 +8,8 @@
 namespace comt::core {
 
 Result<vfs::Filesystem> make_cache_layer(const ProcessModels& models,
-                                         const buildexec::BuildRecord& record,
                                          const vfs::Filesystem& build_rootfs,
                                          const CacheOptions& options) {
-  (void)record;  // fully encoded in the models; not duplicated into the layer
   vfs::Filesystem layer;
   std::string dir(kCacheDir);
   COMT_TRY_STATUS(layer.make_directories(dir));
@@ -67,13 +65,6 @@ Result<CacheBundle> load_cache(const vfs::Filesystem& extended_rootfs) {
   COMT_TRY(std::string image_text, extended_rootfs.read_file(dir + "/image_model.json"));
   COMT_TRY(json::Value image_json, json::parse(image_text));
   COMT_TRY(bundle.models.image, ImageModel::from_json(image_json));
-
-  // Older cache layers carried the raw build record too; tolerate both.
-  if (extended_rootfs.is_regular(dir + "/build_record.json")) {
-    COMT_TRY(std::string record_text,
-             extended_rootfs.read_file(dir + "/build_record.json"));
-    COMT_TRY(bundle.record, buildexec::BuildRecord::parse(record_text));
-  }
 
   std::string sources_dir = dir + "/sources";
   if (extended_rootfs.is_directory(sources_dir)) {

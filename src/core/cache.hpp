@@ -10,7 +10,6 @@
 #include <string>
 #include <string_view>
 
-#include "buildexec/record.hpp"
 #include "core/models.hpp"
 #include "oci/oci.hpp"
 #include "support/error.hpp"
@@ -27,11 +26,10 @@ inline constexpr std::string_view kRedirectedSuffix = "+opt";
 /// Where the rebuild layer stores its outputs, keyed by original image path.
 inline constexpr std::string_view kRebuildDir = "/.coMtainer/rebuild";
 
-/// Everything the system side needs to rebuild: models, the raw build log,
-/// and every build input's content keyed by digest.
+/// Everything the system side needs to rebuild: the models and every build
+/// input's content keyed by digest.
 struct CacheBundle {
   ProcessModels models;
-  buildexec::BuildRecord record;
   std::map<std::string, std::string> sources;  ///< content digest -> bytes
 };
 
@@ -47,7 +45,6 @@ struct CacheOptions {
 /// data files — every leaf of the graph) are pulled from the build
 /// container's filesystem by path, verified against their recorded digests.
 Result<vfs::Filesystem> make_cache_layer(const ProcessModels& models,
-                                         const buildexec::BuildRecord& record,
                                          const vfs::Filesystem& build_rootfs,
                                          const CacheOptions& options = {});
 

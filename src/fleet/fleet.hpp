@@ -8,7 +8,7 @@
 // must not strand the work. Fleet wires that out of existing parts:
 //
 //  - one shared KvStore (options.store; a MemStore by default, a
-//    RemoteStore/ShardedStore stack in benches and site deployments) holds
+//    RemoteStore in benches and site deployments) holds
 //    the compile cache write-through, every write-ahead journal, and the
 //    fleet/{lease,done}/ coordination keys;
 //  - one shared durable::JournalStore over that store, so a takeover replica

@@ -115,9 +115,15 @@ struct LayerSlot;
 /// (Layout::share_blob, then Layout::adopt_blob): the immutable buffer, and
 /// the slot its unpacked tree lives in, so a tree unpacked by any layout
 /// that holds the buffer serves every other one. A blob shared by an
-/// attached layout is a fresh copy of its bytes and has no slot.
+/// attached layout is a fresh copy of its bytes and has no slot, as has one
+/// made from bytes.
 class SharedBlob {
  public:
+  /// Bytes no layout holds yet (a blob reassembled from chunks): no slot,
+  /// and unchecked until verify() passes.
+  explicit SharedBlob(std::string bytes)
+      : bytes_(std::make_shared<const std::string>(std::move(bytes))) {}
+
   const std::string& bytes() const { return *bytes_; }
 
   /// Checks the bytes' SHA-256 against `digest`: Errc::corrupt, naming the

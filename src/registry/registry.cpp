@@ -1,5 +1,6 @@
 #include "registry/registry.hpp"
 
+#include <algorithm>
 #include <mutex>
 #include <set>
 
@@ -58,8 +59,7 @@ void Registry::set_observer(obs::Tracer* tracer, obs::MetricsRegistry* metrics) 
 }
 
 Status Registry::ingest_blob_locked(const oci::Layout& source, const oci::Descriptor& blob,
-                                    const std::vector<std::string>& base_digests,
-                                    ImageDeltaReport* report) {
+                                    ImageDeltaReport* report, obs::SpanId parent) {
   if (report != nullptr) ++report->blobs_total;
   if (store_.has_blob(blob.digest)) {
     // Whole-blob reuse is chunk reuse too: every chunk of a blob the
@@ -68,21 +68,21 @@ Status Registry::ingest_blob_locked(const oci::Layout& source, const oci::Descri
     if (chunks_ != nullptr) {
       auto held_manifest = chunks_->manifest(blob.digest.value);
       if (held_manifest.ok()) {
-        transfer_.chunks_reused += held_manifest.value().chunks.size();
-        transfer_.chunk_bytes_deduped += held_manifest.value().total_size;
+        transfer_.chunks_reused += held_manifest.value()->chunks.size();
+        transfer_.chunk_bytes_deduped += held_manifest.value()->total_size;
       } else {
         // A blob pushed before dedup was enabled has no manifest yet:
-        // chunk it now so later pushes reuse it and delta pushes can name
-        // the image it belongs to as a base.
-        COMT_TRY(std::string held, store_.get_blob(blob.digest));
-        COMT_TRY(transfer::ChunkManifest backfilled, chunks_->put_blob(held));
-        (void)backfilled;
+        // chunk it now so later pushes reuse it and can name the image it
+        // belongs to as a base. Bytes that no longer match their digest
+        // are left for fsck: their chunks would be filed under the hash of
+        // the damaged bytes, where no sweep reaches them.
+        COMT_TRY(oci::SharedBlob held, store_.share_blob(blob.digest));
+        if (held.verify(blob.digest).ok()) COMT_TRY_STATUS(chunks_->put_blob(held.bytes()));
       }
     }
     if (report != nullptr) {
-      COMT_TRY(std::string held, store_.get_blob(blob.digest));
-      report->image_bytes += held.size();
-      report->bytes_deduped += held.size();
+      report->image_bytes += blob.size;
+      report->bytes_deduped += blob.size;
       ++report->blobs_reused;
     }
     return Status::success();
@@ -97,7 +97,7 @@ Status Registry::ingest_blob_locked(const oci::Layout& source, const oci::Descri
     // The chunk store is the distribution substrate: only the chunks it is
     // missing count as transferred, whatever the blob-level picture says.
     COMT_TRY(transfer::DeltaReport delta,
-             transfer::push_delta(content.bytes(), base_digests, *chunks_));
+             transfer::push_delta(content.bytes(), {}, *chunks_, parent));
     moved = delta.bytes_moved;
     transfer_.chunk_bytes_moved += delta.bytes_moved;
     transfer_.chunk_bytes_deduped += delta.bytes_deduped;
@@ -144,19 +144,34 @@ Status Registry::ingest_manifest_locked(const oci::Layout& source, const oci::Di
 }
 
 Status Registry::push(const oci::Layout& source, std::string_view local_tag,
-                      std::string_view name, std::string_view tag, obs::SpanId parent) {
-  obs::Span span = obs::maybe_span(tracer_, "registry.push", parent, "blob-push");
-  span.annotate("image", make_reference(name, tag));
+                      std::string_view name, std::string_view tag, const PushOptions& options) {
+  if (!options.bases.empty() && chunks_ == nullptr) {
+    return make_error(Errc::unsupported, "registry: chunk dedup not enabled");
+  }
+  const std::string reference = make_reference(name, tag);
+  obs::Span span = obs::maybe_span(tracer_, "registry.push", options.parent, "blob-push");
+  span.annotate("image", reference);
   if (faults_ != nullptr) COMT_TRY_STATUS(faults_->check(kPushFaultSite));
   COMT_TRY(oci::Image image, source.find_image(local_tag));
   std::unique_lock<std::shared_mutex> lock(mutex_);
-  const std::uint64_t pushed_before = transfer_.pushed_bytes;
-  COMT_TRY_STATUS(ingest_blob_locked(source, image.manifest.config, {}, nullptr));
-  for (const oci::Descriptor& layer : image.manifest.layers) {
-    COMT_TRY_STATUS(ingest_blob_locked(source, layer, {}, nullptr));
+  ImageDeltaReport* report = options.report;
+  if (report != nullptr) {
+    *report = ImageDeltaReport{};
+    report->reference = reference;
+    // A base that was never pushed (or lost its manifest) does not count;
+    // the per-chunk probes keep the transfer correct regardless.
+    report->full_push = std::none_of(
+        options.bases.begin(), options.bases.end(), [&](const std::string& base) {
+          auto it = references_.find(base);
+          return it != references_.end() && store_.load_image(it->second).ok();
+        });
   }
-  COMT_TRY_STATUS(ingest_manifest_locked(source, image.manifest_digest, nullptr));
-  const std::string reference = make_reference(name, tag);
+  const std::uint64_t pushed_before = transfer_.pushed_bytes;
+  COMT_TRY_STATUS(ingest_blob_locked(source, image.manifest.config, report, span.id()));
+  for (const oci::Descriptor& layer : image.manifest.layers) {
+    COMT_TRY_STATUS(ingest_blob_locked(source, layer, report, span.id()));
+  }
+  COMT_TRY_STATUS(ingest_manifest_locked(source, image.manifest_digest, report));
   references_[reference] = image.manifest_digest;
   // Mirror the reference into the store's index so oci::fsck on the backing
   // layout sees which blobs are reachable from which repository.
@@ -169,161 +184,77 @@ Status Registry::push(const oci::Layout& source, std::string_view local_tag,
   return Status::success();
 }
 
-Result<ImageDeltaReport> Registry::push_delta(const oci::Layout& source,
-                                              std::string_view local_tag,
-                                              std::string_view name, std::string_view tag,
-                                              const std::vector<std::string>& base_references) {
-  if (chunks_ == nullptr) {
-    return make_error(Errc::unsupported, "registry: chunk dedup not enabled");
-  }
-  obs::Span span = obs::maybe_span(tracer_, "registry.push_delta", obs::kNoSpan, "blob-push");
-  span.annotate("image", make_reference(name, tag));
-  if (faults_ != nullptr) COMT_TRY_STATUS(faults_->check(kPushFaultSite));
-  COMT_TRY(oci::Image image, source.find_image(local_tag));
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-
-  // Resolve the named bases to their blob digests. A base that was never
-  // pushed (or lost its manifest) is skipped; the per-chunk probes inside
-  // transfer::push_delta keep the transfer correct regardless.
-  std::vector<std::string> base_digests;
-  bool any_base = false;
-  for (const std::string& base : base_references) {
-    auto it = references_.find(base);
-    if (it == references_.end()) continue;
-    auto base_image = store_.load_image(it->second);
-    if (!base_image.ok()) continue;
-    any_base = true;
-    base_digests.push_back(base_image.value().manifest.config.digest.value);
-    for (const oci::Descriptor& layer : base_image.value().manifest.layers) {
-      base_digests.push_back(layer.digest.value);
-    }
-  }
-
-  ImageDeltaReport report;
-  report.reference = make_reference(name, tag);
-  report.full_push = !any_base;
-  const std::uint64_t pushed_before = transfer_.pushed_bytes;
-  COMT_TRY_STATUS(ingest_blob_locked(source, image.manifest.config, base_digests, &report));
-  for (const oci::Descriptor& layer : image.manifest.layers) {
-    COMT_TRY_STATUS(ingest_blob_locked(source, layer, base_digests, &report));
-  }
-  COMT_TRY_STATUS(ingest_manifest_locked(source, image.manifest_digest, &report));
-  const std::string reference = make_reference(name, tag);
-  references_[reference] = image.manifest_digest;
-  store_.tag_manifest(reference, image.manifest_digest);
-  if (pushes_ != nullptr) {
-    pushes_->add();
-    pushed_bytes_->add(transfer_.pushed_bytes - pushed_before);
-  }
-  span.annotate("bytes_moved", report.bytes_moved);
-  span.annotate("bytes_deduped", report.bytes_deduped);
-  span.annotate("full_push", report.full_push ? "true" : "false");
-  return report;
-}
-
-Result<ImageDeltaReport> Registry::pull_delta(std::string_view name, std::string_view tag,
-                                              oci::Layout& destination,
-                                              std::string_view local_tag,
-                                              transfer::ChunkStore* local_chunks) const {
-  if (chunks_ == nullptr) {
-    return make_error(Errc::unsupported, "registry: chunk dedup not enabled");
-  }
-  obs::Span span = obs::maybe_span(tracer_, "registry.pull_delta", obs::kNoSpan, "pull");
-  span.annotate("image", make_reference(name, tag));
-  if (faults_ != nullptr) COMT_TRY_STATUS(faults_->check(kPullFaultSite));
-  std::unique_lock<std::shared_mutex> lock(mutex_);
-  auto it = references_.find(make_reference(name, tag));
-  if (it == references_.end()) {
-    return make_error(Errc::not_found, "registry: no such image " + make_reference(name, tag));
-  }
-  COMT_TRY(oci::Image image, store_.load_image(it->second));
-
-  ImageDeltaReport report;
-  report.reference = make_reference(name, tag);
-  const std::uint64_t pulled_before = transfer_.pulled_bytes;
-  auto fetch = [&](const oci::Descriptor& blob) -> Status {
-    ++report.blobs_total;
-    if (destination.has_blob(blob.digest)) {
-      COMT_TRY(std::string held, destination.get_blob(blob.digest));
-      report.image_bytes += held.size();
-      report.bytes_deduped += held.size();
-      ++report.blobs_reused;
-      return Status::success();
-    }
-    std::string content;
-    if (local_chunks != nullptr && chunks_->contains_blob(blob.digest.value)) {
-      COMT_TRY(transfer::DeltaReport delta,
-               transfer::pull_delta(*chunks_, blob.digest.value, *local_chunks, &content));
-      transfer_.pulled_bytes += delta.bytes_moved;
-      transfer_.chunk_bytes_moved += delta.bytes_moved;
-      transfer_.chunk_bytes_deduped += delta.bytes_deduped;
-      transfer_.chunks_moved += delta.chunks_moved;
-      transfer_.chunks_reused += delta.chunks_reused;
-      report.bytes_moved += delta.bytes_moved;
-      report.bytes_deduped += delta.bytes_deduped;
-      report.chunks_moved += delta.chunks_moved;
-      report.chunks_reused += delta.chunks_reused;
-    } else if (chunks_->contains_blob(blob.digest.value)) {
-      // No local chunk cache — reassemble at the source and move the blob
-      // whole. Still digest-verified by get_blob.
-      COMT_TRY(content, chunks_->get_blob(blob.digest.value));
-      transfer_.pulled_bytes += content.size();
-      report.bytes_moved += content.size();
-    } else {
-      COMT_TRY(content, store_.get_blob(blob.digest));
-      transfer_.pulled_bytes += content.size();
-      report.bytes_moved += content.size();
-    }
-    ++report.blobs_moved;
-    report.image_bytes += content.size();
-    destination.put_blob(std::move(content), blob.media_type);
-    return Status::success();
-  };
-  COMT_TRY_STATUS(fetch(image.manifest.config));
-  for (const oci::Descriptor& layer : image.manifest.layers) COMT_TRY_STATUS(fetch(layer));
-  COMT_TRY(oci::Digest digest, destination.add_manifest(image.manifest, local_tag));
-  (void)digest;
-  if (pulls_ != nullptr) {
-    pulls_->add();
-    pulled_bytes_->add(transfer_.pulled_bytes - pulled_before);
-  }
-  span.annotate("bytes_moved", report.bytes_moved);
-  span.annotate("bytes_deduped", report.bytes_deduped);
-  return report;
-}
-
 Status Registry::pull(std::string_view name, std::string_view tag, oci::Layout& destination,
-                      std::string_view local_tag, obs::SpanId parent) const {
-  obs::Span span = obs::maybe_span(tracer_, "registry.pull", parent, "pull");
-  span.annotate("image", make_reference(name, tag));
+                      std::string_view local_tag, const PullOptions& options) const {
+  if (options.local_chunks != nullptr && chunks_ == nullptr) {
+    return make_error(Errc::unsupported, "registry: chunk dedup not enabled");
+  }
+  const std::string reference = make_reference(name, tag);
+  obs::Span span = obs::maybe_span(tracer_, "registry.pull", options.parent, "pull");
+  span.annotate("image", reference);
   if (faults_ != nullptr) COMT_TRY_STATUS(faults_->check(kPullFaultSite));
+  ImageDeltaReport report;
+  report.reference = reference;
+  transfer::DeltaReport chunked;  // what the chunk route moved, over all its blobs
   oci::Image image;
-  // Each blob the destination lacks, by reference to the hub's buffer.
+  // Each blob the destination lacks: the hub's buffer, or the bytes the
+  // chunk route reassembled.
   std::vector<std::pair<oci::Descriptor, oci::SharedBlob>> fetched;
-  std::uint64_t moved = 0;
   {
-    // Reader lock, held only to resolve, load and share: hashing happens
-    // after it is released, so a push never waits for a pull's hashing.
+    // Reader lock, held only to resolve, load and fetch: the digest checks
+    // run after it is released, so a push never waits for them (the chunk
+    // route's reassembly checks its blob once under it).
     std::shared_lock<std::shared_mutex> lock(mutex_);
-    auto it = references_.find(make_reference(name, tag));
+    auto it = references_.find(reference);
     if (it == references_.end()) {
-      return make_error(Errc::not_found, "registry: no such image " + make_reference(name, tag));
+      return make_error(Errc::not_found, "registry: no such image " + reference);
     }
     COMT_TRY(image, store_.load_image(it->second));
     auto fetch = [&](const oci::Descriptor& blob) -> Status {
-      if (destination.has_blob(blob.digest)) return Status::success();
-      for (const auto& [held, shared] : fetched) {
-        if (held.digest == blob.digest) return Status::success();
+      ++report.blobs_total;
+      report.image_bytes += blob.size;
+      const bool held = destination.has_blob(blob.digest) ||
+                        std::any_of(fetched.begin(), fetched.end(), [&](const auto& entry) {
+                          return entry.first.digest == blob.digest;
+                        });
+      if (held) {
+        report.bytes_deduped += blob.size;
+        ++report.blobs_reused;
+        return Status::success();
       }
-      COMT_TRY(oci::SharedBlob shared, store_.share_blob(blob.digest));
-      moved += shared.bytes().size();
-      fetched.emplace_back(blob, std::move(shared));
+      ++report.blobs_moved;
+      if (options.local_chunks == nullptr || !chunks_->contains_blob(blob.digest.value)) {
+        COMT_TRY(oci::SharedBlob shared, store_.share_blob(blob.digest));
+        report.bytes_moved += shared.bytes().size();
+        fetched.emplace_back(blob, std::move(shared));
+        return Status::success();
+      }
+      std::string bytes;
+      auto delta = transfer::pull_delta(*chunks_, blob.digest.value, *options.local_chunks,
+                                        &bytes, span.id());
+      if (!delta.ok()) {
+        return make_error(delta.error().code,
+                          "registry: pulling " + blob.digest.value + ": " + delta.error().message);
+      }
+      chunked.bytes_moved += delta.value().bytes_moved;
+      chunked.bytes_deduped += delta.value().bytes_deduped;
+      chunked.chunks_moved += delta.value().chunks_moved;
+      chunked.chunks_reused += delta.value().chunks_reused;
+      report.bytes_moved += delta.value().bytes_moved;
+      report.bytes_deduped += delta.value().bytes_deduped;
+      report.chunks_moved += delta.value().chunks_moved;
+      report.chunks_reused += delta.value().chunks_reused;
+      fetched.emplace_back(blob, oci::SharedBlob(std::move(bytes)));
       return Status::success();
     };
     COMT_TRY_STATUS(fetch(image.manifest.config));
     for (const oci::Descriptor& layer : image.manifest.layers) COMT_TRY_STATUS(fetch(layer));
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-    transfer_.pulled_bytes += moved;
+    transfer_.pulled_bytes += report.bytes_moved;
+    transfer_.chunk_bytes_moved += chunked.bytes_moved;
+    transfer_.chunk_bytes_deduped += chunked.bytes_deduped;
+    transfer_.chunks_moved += chunked.chunks_moved;
+    transfer_.chunks_reused += chunked.chunks_reused;
   }
   // Every fetched blob is hashed before any is adopted: a damaged hub blob
   // fails the pull as Errc::corrupt and leaves the destination as it was.
@@ -335,9 +266,10 @@ Status Registry::pull(std::string_view name, std::string_view tag, oci::Layout& 
   (void)digest;
   if (pulls_ != nullptr) {
     pulls_->add();
-    pulled_bytes_->add(moved);
+    pulled_bytes_->add(report.bytes_moved);
   }
-  span.annotate("bytes", moved);
+  span.annotate("bytes", report.bytes_moved);
+  if (options.report != nullptr) *options.report = std::move(report);
   return Status::success();
 }
 

@@ -1,16 +1,21 @@
 // An in-memory OCI image registry: the "repository" box in the paper's
-// workflow (Fig. 1/4). Push transfers an image (manifest, config, layers)
-// from a local layout into the registry store; pull transfers it back out.
-// A transfer hands over the immutable blob buffer (oci::Layout::share_blob/
-// adopt_blob) instead of copying it, and the receiving side SHA-256-checks
-// every blob it adopts against its descriptor. Blobs are content-addressed,
-// so repeated pushes of shared base layers deduplicate.
+// workflow (Fig. 1/4). It has one way in and one way out: push transfers an
+// image (manifest, config, layers) from a local layout into the registry
+// store; pull transfers it back out. A transfer hands over the immutable
+// blob buffer (oci::Layout::share_blob/adopt_blob) instead of copying it,
+// and the receiving side SHA-256-checks every blob it adopts against its
+// descriptor; a pull checks them all before it adopts any. Blobs are
+// content-addressed, so repeated pushes of shared base layers deduplicate.
+// With chunk dedup enabled, the same push also lands new blobs as chunks,
+// and a pull given a local chunk cache fetches only the chunks that cache
+// lacks (the delta protocol of transfer/delta.hpp).
 //
 // The registry is shared by every tenant of the rebuild service, so all
 // operations are thread-safe: mutations (push, remove, gc, fsck) run under
 // the writer lock; queries and pulls under the reader lock, which a pull
-// holds only to share the blobs it needs and releases before hashing them.
-// The pulled-byte counter moves under a leaf mutex that stats() also takes.
+// holds only to fetch the blobs it needs and releases before checking them.
+// What a pull adds to the counters (pulled bytes and the chunk counters)
+// moves under a leaf mutex that stats() also takes.
 // An optional support::FaultInjector hook lets tests and benchmarks make
 // push/pull fail transiently like a real network registry would.
 #pragma once
@@ -57,25 +62,51 @@ struct Stats {
   std::size_t chunks_reused = 0;
 };
 
-/// What one image-level delta transfer did: the per-blob DeltaReports summed,
-/// plus whole-blob dedup (blobs the other side already held in full).
+/// What one image transfer did: the per-blob DeltaReports summed, plus
+/// whole-blob dedup (blobs the other side already held in full). Blobs held
+/// in full count at the size their descriptor names.
 struct ImageDeltaReport {
   std::string reference;            ///< "name:tag"
   std::size_t blobs_total = 0;
-  std::size_t blobs_moved = 0;      ///< blobs that needed any chunk traffic
+  std::size_t blobs_moved = 0;      ///< blobs transferred, whole or as chunks
   std::size_t blobs_reused = 0;     ///< blobs fully present at the other side
   std::uint64_t image_bytes = 0;    ///< logical bytes of every blob in the image
-  std::uint64_t bytes_moved = 0;    ///< wire bytes (framed chunks + manifests)
+  std::uint64_t bytes_moved = 0;    ///< wire bytes: whole blobs, or framed chunks + manifests
   std::uint64_t bytes_deduped = 0;  ///< raw bytes covered by reuse
   std::size_t chunks_moved = 0;
   std::size_t chunks_reused = 0;
-  bool full_push = false;           ///< no named base was present at the destination
+  bool full_push = false;           ///< push: no named base was present at the registry
 
   double moved_fraction() const {
     return image_bytes == 0 ? 0.0
                             : static_cast<double>(bytes_moved) /
                                   static_cast<double>(image_bytes);
   }
+};
+
+/// What a push can do beyond moving the image; the defaults are a plain push.
+struct PushOptions {
+  /// "name:tag" images expected to already be here (the optimized image's
+  /// generic parent). They only decide `report->full_push`: a missing or
+  /// partially GC'd base degrades to a fuller push, never to a failure.
+  /// Requires enable_chunk_dedup.
+  std::vector<std::string> bases{};
+  /// Filled with what the push moved and reused, when non-null.
+  ImageDeltaReport* report = nullptr;
+  /// The "registry.push" span opens under this.
+  obs::SpanId parent = obs::kNoSpan;
+};
+
+/// What a pull can do beyond moving the image; the defaults are a plain pull.
+struct PullOptions {
+  /// The puller's own chunk cache, hydrated by earlier pulls: each blob the
+  /// registry holds as chunks is reassembled from the chunks this cache
+  /// lacks plus those it holds. Requires enable_chunk_dedup.
+  transfer::ChunkStore* local_chunks = nullptr;
+  /// Filled with what the pull moved and reused, when non-null.
+  ImageDeltaReport* report = nullptr;
+  /// The "registry.pull" span opens under this.
+  obs::SpanId parent = obs::kNoSpan;
 };
 
 class Registry {
@@ -94,48 +125,34 @@ class Registry {
   /// Pushes the image tagged `local_tag` in `source` under "name:tag".
   /// Only blobs the registry does not already hold are "transferred"; each
   /// must match its digest, or the push fails with Errc::corrupt and the
-  /// reference is not written. The "registry.push" span opens under
-  /// `parent`.
+  /// reference is not written. With chunk dedup enabled, each new blob
+  /// moves only the chunks the chunk store is missing. Passing
+  /// `options.bases` without chunk dedup is Errc::unsupported.
   Status push(const oci::Layout& source, std::string_view local_tag,
-              std::string_view name, std::string_view tag,
-              obs::SpanId parent = obs::kNoSpan);
+              std::string_view name, std::string_view tag, const PushOptions& options = {});
 
-  /// Pulls "name:tag" into `destination`, tagging it `local_tag`. Every
-  /// blob `destination` lacks is checked against its digest before any is
-  /// adopted: a damaged hub blob fails the pull with Errc::corrupt and
-  /// leaves `destination` unchanged. The "registry.pull" span opens under
-  /// `parent`.
+  /// Pulls "name:tag" into `destination`, tagging it `local_tag`. Each blob
+  /// `destination` lacks is the hub's buffer, or, when
+  /// `options.local_chunks` is given and the chunk store holds the blob,
+  /// its bytes reassembled from chunks. Every such blob is checked against
+  /// its digest before any is adopted: a damaged hub blob or chunk fails the
+  /// pull with Errc::corrupt naming the blob's digest and leaves
+  /// `destination` unchanged. Passing `options.local_chunks` without chunk
+  /// dedup is Errc::unsupported.
   Status pull(std::string_view name, std::string_view tag, oci::Layout& destination,
-              std::string_view local_tag, obs::SpanId parent = obs::kNoSpan) const;
+              std::string_view local_tag, const PullOptions& options = {}) const;
 
   /// Turns on chunk-level dedup: every push additionally lands the image's
   /// blobs in `chunks` (content-defined chunks + manifests), and pushed_bytes
   /// counts chunk wire traffic instead of whole blobs for new content. Blobs
   /// pushed before dedup was enabled are chunked lazily the next time a push
-  /// touches them, so pre-existing images become usable delta bases. The
+  /// touches them, if their bytes still match their digest, so pre-existing
+  /// images become usable delta bases; a damaged one is left for fsck. The
   /// chunk store's backend is the distribution substrate — hand it a
   /// RemoteStore and chunk movement rides that store's retry/breaker
   /// machinery. Wire up before sharing the registry.
   void enable_chunk_dedup(std::shared_ptr<transfer::ChunkStore> chunks);
   const std::shared_ptr<transfer::ChunkStore>& chunk_store() const { return chunks_; }
-
-  /// Delta-pushes the image tagged `local_tag` in `source` under "name:tag",
-  /// moving only the chunks the chunk store is missing. `base_references`
-  /// names images expected to already be here (the optimized image's generic
-  /// parent); a missing or partially GC'd base degrades to a fuller push, so
-  /// the call never fails for that reason. Requires enable_chunk_dedup.
-  Result<ImageDeltaReport> push_delta(const oci::Layout& source, std::string_view local_tag,
-                                      std::string_view name, std::string_view tag,
-                                      const std::vector<std::string>& base_references = {});
-
-  /// Delta-pulls "name:tag" into `destination`, fetching only the chunks
-  /// `local_chunks` does not already hold and reassembling with whole-blob
-  /// digest verification. `local_chunks`, when non-null, is the puller's own
-  /// chunk cache (hydrated by previous pulls); null degrades to whole-blob
-  /// transfers for blobs `destination` is missing. Requires enable_chunk_dedup.
-  Result<ImageDeltaReport> pull_delta(std::string_view name, std::string_view tag,
-                                      oci::Layout& destination, std::string_view local_tag,
-                                      transfer::ChunkStore* local_chunks = nullptr) const;
 
   bool has(std::string_view name, std::string_view tag) const;
 
@@ -187,18 +204,20 @@ class Registry {
   }
 
   /// Attaches observability: push/pull/gc/fsck each emit a span
-  /// ("registry.<op>"; push and pull under their `parent`, the others at the
-  /// root) and bump "registry.<op>s" counters; transferred bytes
-  /// go to "registry.pulled_bytes"/"registry.pushed_bytes". Either pointer
-  /// may be nullptr. Not synchronized with concurrent operations — wire it up
-  /// before sharing the registry.
+  /// ("registry.<op>"; push and pull under their options' `parent`, with
+  /// the chunk store's "transfer.push"/"transfer.pull" spans under them;
+  /// the others at the root) and bump "registry.<op>s" counters;
+  /// transferred bytes go to "registry.pulled_bytes"/"registry.pushed_bytes".
+  /// Either pointer may be nullptr. Not synchronized with concurrent
+  /// operations — wire it up before sharing the registry.
   void set_observer(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
  private:
   Status sweep_locked();
+  /// Adopts `source`'s config or layer blob, or counts the registry's copy
+  /// as reused; the chunk store's "transfer.push" span opens under `parent`.
   Status ingest_blob_locked(const oci::Layout& source, const oci::Descriptor& blob,
-                            const std::vector<std::string>& base_digests,
-                            ImageDeltaReport* report);
+                            ImageDeltaReport* report, obs::SpanId parent);
   /// Adopts `source`'s manifest blob `digest`, counting it as moved when the
   /// registry does not hold it yet.
   Status ingest_manifest_locked(const oci::Layout& source, const oci::Digest& digest,
@@ -208,9 +227,10 @@ class Registry {
   oci::Layout store_;
   std::map<std::string, oci::Digest> references_;  // "name:tag" -> manifest
   std::shared_ptr<transfer::ChunkStore> chunks_;
-  /// Written under the writer lock, except pulled_bytes: a pull adds to it
-  /// under the reader lock plus stats_mutex_ (a leaf: nothing is locked
-  /// while it is held), and stats() reads under both.
+  /// Written under the writer lock, except what a pull adds (pulled_bytes
+  /// and the chunk counters): a pull adds under the reader lock plus
+  /// stats_mutex_ (a leaf: nothing is locked while it is held), and stats()
+  /// reads under both.
   mutable Stats transfer_;
   mutable std::mutex stats_mutex_;
   support::FaultInjector* faults_ = nullptr;

@@ -611,7 +611,8 @@ Status RebuildService::attempt_once(const TargetSystem& target, const SubmitRequ
   obs::Span pull_span =
       obs::maybe_span(options_.tracer, "service.pull", attempt_span, "pull");
   obs::Stopwatch pull_clock;
-  Status pulled = hub_.pull(request.name, request.tag, workspace, kWorkTag, pull_span.id());
+  Status pulled =
+      hub_.pull(request.name, request.tag, workspace, kWorkTag, {.parent = pull_span.id()});
   trace.pull_ms += pull_clock.elapsed_ms();
   pull_span.end();
   COMT_TRY_STATUS(pulled);
@@ -645,7 +646,7 @@ Status RebuildService::attempt_once(const TargetSystem& target, const SubmitRequ
       obs::maybe_span(options_.tracer, "service.push", attempt_span, "blob-push");
   obs::Stopwatch push_clock;
   Status pushed =
-      hub_.push(workspace, kWorkRebuiltTag, request.name, output_tag, push_span.id());
+      hub_.push(workspace, kWorkRebuiltTag, request.name, output_tag, {.parent = push_span.id()});
   trace.push_ms += push_clock.elapsed_ms();
   push_span.end();
   COMT_TRY_STATUS(pushed);

@@ -92,8 +92,7 @@ class KvStore {
   /// not match (the loser of a claim race). Atomicity is relative to other
   /// compare_and_put calls on the same store object (a lease keyspace has no
   /// other writers); a concurrent plain put() does not participate in the
-  /// arbitration. ShardedStore routes to the owning shard's CAS, so the
-  /// guarantee survives sharding.
+  /// arbitration.
   virtual Result<bool> compare_and_put(std::string_view key,
                                        const std::optional<std::string>& expected,
                                        std::string value);
@@ -101,8 +100,8 @@ class KvStore {
   /// Attaches counters ("store.gets", "store.get_bytes", "store.puts",
   /// "store.put_bytes", "store.erases", "store.syncs", "store.corrupt") and
   /// a span per sync ("store.sync"). Pass nullptrs to detach. Wire up before
-  /// sharing the store. Virtual so wrapping backends (ShardedStore,
-  /// RemoteStore) can bind their own instruments alongside the base set.
+  /// sharing the store. Virtual so a wrapping backend (RemoteStore) can bind
+  /// its own instruments alongside the base set.
   virtual void set_observer(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
   /// Attaches torn-write injection to put (site kStorePutSite). Pass nullptr

@@ -30,8 +30,9 @@ ChunkStore::ChunkStore(std::shared_ptr<store::KvStore> backend, Options options)
     if (!bytes.ok()) continue;
     auto parsed = ChunkManifest::parse(bytes.value());
     if (!parsed.ok()) continue;
-    for (const ChunkRef& chunk : parsed.value().chunks) ++refcounts_[chunk.digest];
-    manifests_.emplace(parsed.value().blob_digest, std::move(parsed.value()));
+    auto manifest = std::make_shared<const ChunkManifest>(std::move(parsed).value());
+    for (const ChunkRef& chunk : manifest->chunks) ++refcounts_[chunk.digest];
+    manifests_.emplace(manifest->blob_digest, std::move(manifest));
   }
   // Publish (or refresh) the codec advertisement peers negotiate against.
   (void)backend_->put(options_.prefix + std::string(kCodecsKeySuffix),
@@ -85,7 +86,7 @@ Result<ChunkManifest> ChunkStore::put_blob(const std::string& bytes) {
     if (existing != manifests_.end()) {
       // Blob-level idempotence: everything dedups, nothing re-references.
       for (const ChunkRef& chunk : built.chunks) note_hit(chunk.size);
-      return existing->second;
+      return *existing->second;
     }
   }
   for (const ChunkRef& chunk : built.chunks) {
@@ -157,7 +158,7 @@ Status ChunkStore::put_manifest_locked(const ChunkManifest& manifest) {
   if (manifests_.count(manifest.blob_digest) != 0) return Status::success();
   COMT_TRY_STATUS(backend_->put(manifest_key(manifest.blob_digest), manifest.serialize()));
   for (const ChunkRef& chunk : manifest.chunks) ++refcounts_[chunk.digest];
-  manifests_.emplace(manifest.blob_digest, manifest);
+  manifests_.emplace(manifest.blob_digest, std::make_shared<const ChunkManifest>(manifest));
   return Status::success();
 }
 
@@ -172,7 +173,8 @@ bool ChunkStore::contains_chunk(std::string_view chunk_digest) const {
   return backend_->contains(chunk_key(chunk_digest));
 }
 
-Result<ChunkManifest> ChunkStore::manifest(std::string_view blob_digest) const {
+Result<std::shared_ptr<const ChunkManifest>> ChunkStore::manifest(
+    std::string_view blob_digest) const {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = manifests_.find(std::string(blob_digest));
   if (it == manifests_.end()) {
@@ -182,10 +184,10 @@ Result<ChunkManifest> ChunkStore::manifest(std::string_view blob_digest) const {
 }
 
 Result<std::string> ChunkStore::get_blob(std::string_view blob_digest) const {
-  COMT_TRY(ChunkManifest stored, manifest(blob_digest));
+  COMT_TRY(std::shared_ptr<const ChunkManifest> stored, manifest(blob_digest));
   std::string out;
-  out.reserve(stored.total_size);
-  for (const ChunkRef& chunk : stored.chunks) {
+  out.reserve(stored->total_size);
+  for (const ChunkRef& chunk : stored->chunks) {
     if (chunk.offset != out.size()) {
       return make_error(Errc::corrupt,
                         "chunk manifest offsets inconsistent for " + std::string(blob_digest));
@@ -194,7 +196,7 @@ Result<std::string> ChunkStore::get_blob(std::string_view blob_digest) const {
     out.append(raw);
   }
   if (std::string(kAlgorithmPrefix) + Sha256::hex_digest(out) != blob_digest ||
-      out.size() != stored.total_size) {
+      out.size() != stored->total_size) {
     return make_error(Errc::corrupt,
                       "reassembled blob does not match its digest: " +
                           std::string(blob_digest));
@@ -211,7 +213,7 @@ Result<std::uint64_t> ChunkStore::erase_blob(std::string_view blob_digest) {
   std::uint64_t freed = 0;
   // Dedup within one manifest: a chunk listed twice holds one reference.
   std::set<std::string> distinct;
-  for (const ChunkRef& chunk : it->second.chunks) distinct.insert(chunk.digest);
+  for (const ChunkRef& chunk : it->second->chunks) distinct.insert(chunk.digest);
   for (const std::string& digest : distinct) {
     auto ref = refcounts_.find(digest);
     if (ref == refcounts_.end()) continue;
@@ -261,7 +263,7 @@ std::uint64_t ChunkStore::stored_chunk_bytes() const {
 std::uint64_t ChunkStore::logical_bytes() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::uint64_t total = 0;
-  for (const auto& [digest, manifest] : manifests_) total += manifest.total_size;
+  for (const auto& [digest, manifest] : manifests_) total += manifest->total_size;
   return total;
 }
 

@@ -77,7 +77,9 @@ class ChunkStore {
   Result<std::string> get_blob(std::string_view blob_digest) const;
 
   bool contains_blob(std::string_view blob_digest) const;
-  Result<ChunkManifest> manifest(std::string_view blob_digest) const;
+  /// The stored manifest, shared with the index rather than copied: a
+  /// manifest never changes once stored.
+  Result<std::shared_ptr<const ChunkManifest>> manifest(std::string_view blob_digest) const;
 
   /// Drops the blob's manifest and every chunk whose refcount hits zero.
   /// Returns the framed chunk bytes freed; 0 when absent. A pinned blob is
@@ -163,7 +165,8 @@ class ChunkStore {
   Options options_;
   mutable std::mutex mutex_;
   std::map<std::string, int, std::less<>> refcounts_;  ///< chunk digest → #manifests
-  std::map<std::string, ChunkManifest, std::less<>> manifests_;  ///< blob digest → manifest
+  /// blob digest → manifest
+  std::map<std::string, std::shared_ptr<const ChunkManifest>, std::less<>> manifests_;
   std::map<std::string, int, std::less<>> pins_;       ///< blob digest → pin count
   mutable std::atomic<std::uint64_t> hits_{0};
   mutable std::atomic<std::uint64_t> misses_{0};

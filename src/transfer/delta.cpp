@@ -7,11 +7,10 @@ namespace comt::transfer {
 
 Result<DeltaReport> push_delta(const std::string& blob,
                                const std::vector<std::string>& base_blob_digests,
-                               ChunkStore& destination, const DeltaOptions& options) {
+                               ChunkStore& destination, obs::SpanId parent) {
   COMT_TRY(ChunkManifest manifest, build_manifest(blob, destination.params()));
 
-  obs::Span span = obs::maybe_span(destination.tracer(), "transfer.push", obs::kNoSpan,
-                                   "transfer");
+  obs::Span span = obs::maybe_span(destination.tracer(), "transfer.push", parent, "transfer");
   span.annotate("blob", manifest.blob_digest);
   span.annotate("blob_bytes", manifest.total_size);
 
@@ -31,7 +30,7 @@ Result<DeltaReport> push_delta(const std::string& blob,
 
   std::vector<CodecId> advertised = destination.advertised_codecs();
   if (advertised.empty()) advertised = destination.codecs();
-  COMT_TRY(report.codec, negotiate(options.preferred, advertised));
+  COMT_TRY(report.codec, negotiate(supported_codecs(), advertised));
   span.annotate("codec", codec_name(report.codec));
 
   for (const ChunkRef& chunk : manifest.chunks) {
@@ -63,11 +62,11 @@ Result<DeltaReport> push_delta(const std::string& blob,
 
 Result<DeltaReport> pull_delta(const ChunkStore& source, std::string_view blob_digest,
                                ChunkStore& local, std::string* blob_out,
-                               const DeltaOptions& options) {
-  COMT_TRY(ChunkManifest manifest, source.manifest(blob_digest));
+                               obs::SpanId parent) {
+  COMT_TRY(std::shared_ptr<const ChunkManifest> stored, source.manifest(blob_digest));
+  const ChunkManifest& manifest = *stored;
 
-  obs::Span span = obs::maybe_span(source.tracer(), "transfer.pull", obs::kNoSpan,
-                                   "transfer");
+  obs::Span span = obs::maybe_span(source.tracer(), "transfer.pull", parent, "transfer");
   span.annotate("blob", manifest.blob_digest);
   span.annotate("blob_bytes", manifest.total_size);
 
@@ -78,7 +77,7 @@ Result<DeltaReport> pull_delta(const ChunkStore& source, std::string_view blob_d
 
   std::vector<CodecId> advertised = local.advertised_codecs();
   if (advertised.empty()) advertised = local.codecs();
-  COMT_TRY(report.codec, negotiate(options.preferred, advertised));
+  COMT_TRY(report.codec, negotiate(supported_codecs(), advertised));
   span.annotate("codec", codec_name(report.codec));
 
   std::string blob;

@@ -18,18 +18,13 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "support/error.hpp"
 #include "transfer/chunker.hpp"
 #include "transfer/chunkstore.hpp"
 #include "transfer/codec.hpp"
 
 namespace comt::transfer {
-
-struct DeltaOptions {
-  /// Sender-side codec preference, negotiated against the destination's
-  /// advertisement per transfer.
-  std::vector<CodecId> preferred = supported_codecs();
-};
 
 /// What one delta transfer did, for accounting and the benches.
 struct DeltaReport {
@@ -54,20 +49,22 @@ struct DeltaReport {
 /// already holds. `base_blob_digests` names blobs expected at the destination
 /// (the generic parent's layers); they only inform the `full_push` flag — the
 /// per-chunk probes are authoritative, so a missing or partially GC'd base
-/// degrades to moving more chunks, never to a wrong blob. Emits a
-/// "transfer.push" span on the destination's tracer and bumps its
-/// "transfer.bytes_moved" counter by the wire bytes.
+/// degrades to moving more chunks, never to a wrong blob. The codec is this
+/// side's supported_codecs() negotiated against the destination's
+/// advertisement. Emits a "transfer.push" span under `parent` on the
+/// destination's tracer and bumps its "transfer.bytes_moved" counter by the
+/// wire bytes.
 Result<DeltaReport> push_delta(const std::string& blob,
                                const std::vector<std::string>& base_blob_digests,
-                               ChunkStore& destination, const DeltaOptions& options = {});
+                               ChunkStore& destination, obs::SpanId parent = obs::kNoSpan);
 
 /// Pulls `blob_digest` from `source` into `local`, fetching only the chunks
 /// `local` is missing, reassembling, and verifying the whole-blob digest.
 /// On success the blob is fully materialized in `local` (chunks + manifest)
 /// and, when `blob_out` is non-null, its bytes are returned there. Emits a
-/// "transfer.pull" span on the source's tracer.
+/// "transfer.pull" span under `parent` on the source's tracer.
 Result<DeltaReport> pull_delta(const ChunkStore& source, std::string_view blob_digest,
                                ChunkStore& local, std::string* blob_out = nullptr,
-                               const DeltaOptions& options = {});
+                               obs::SpanId parent = obs::kNoSpan);
 
 }  // namespace comt::transfer

@@ -1,14 +1,18 @@
 // Concurrency and lifecycle tests for the shared registry: parallel
-// push/pull from many threads (the rebuild service's access pattern),
-// list/remove, and unreferenced-blob garbage collection.
+// push/pull from many threads (the rebuild service's access pattern, and
+// pulls through local chunk caches), list/remove, and unreferenced-blob
+// garbage collection.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "registry/registry.hpp"
+#include "store/store.hpp"
 
 namespace comt::registry {
 namespace {
@@ -270,6 +274,100 @@ TEST(RegistryStressTest, ConcurrentPullsAndFlattensWhileRemoveSweeps) {
   pull_and_flatten();  // the image is back: this one must succeed
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GT(flattened.load(), 0);
+  EXPECT_TRUE(hub.fsck().clean());
+}
+
+TEST(RegistryStressTest, ConcurrentChunkCachePullsWhileRemoveSweeps) {
+  std::vector<vfs::Filesystem> layers;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    std::mt19937 rng(i);
+    std::string bytes(12 * 1024, '\0');
+    for (char& byte : bytes) byte = static_cast<char>(rng());
+    vfs::Filesystem layer;
+    ASSERT_TRUE(layer.write_file("/lib/part" + std::to_string(i), std::move(bytes)).ok());
+    layers.push_back(std::move(layer));
+  }
+  oci::Layout local;
+  auto image = local.create_image(config(), layers, "app");
+  ASSERT_TRUE(image.ok());
+  std::vector<oci::Descriptor> blobs = image.value().manifest.layers;
+  blobs.push_back(image.value().manifest.config);
+  oci::Layout base;
+  ASSERT_TRUE(base.create_image(config(), {tree("base")}, "base").ok());
+
+  Registry hub;
+  hub.enable_chunk_dedup(
+      std::make_shared<transfer::ChunkStore>(std::make_shared<store::MemStore>()));
+  // Every push's and every pull's report, summed: what stats() must show.
+  std::mutex tally_mutex;
+  ImageDeltaReport pushed, pulled;
+  auto tally = [&](ImageDeltaReport& sum, const ImageDeltaReport& report) {
+    std::lock_guard<std::mutex> lock(tally_mutex);
+    sum.bytes_moved += report.bytes_moved;
+    sum.chunks_moved += report.chunks_moved;
+    sum.chunks_reused += report.chunks_reused;
+  };
+  auto push = [&] {
+    ImageDeltaReport report;
+    Status status = hub.push(local, "app", "org/app", "1", {.report = &report});
+    if (status.ok()) tally(pushed, report);
+    return status;
+  };
+  ASSERT_TRUE(push().ok());
+
+  std::atomic<int> intact{0};
+  std::atomic<int> mismatches{0};
+  auto puller = [&] {
+    // Each puller keeps its own chunk cache across its pulls, as a node does.
+    transfer::ChunkStore cache(std::make_shared<store::MemStore>());
+    for (int i = 0; i < 30; ++i) {
+      oci::Layout destination = base;
+      ImageDeltaReport report;
+      Status status = hub.pull("org/app", "1", destination, "pulled",
+                               {.local_chunks = &cache, .report = &report});
+      if (!status.ok()) {
+        // Only the gap between a remove and its re-push may fail a pull,
+        // and a failed pull adopts nothing.
+        if (status.error().code != Errc::not_found ||
+            destination.blob_count() != base.blob_count() ||
+            destination.find_image("pulled").ok()) {
+          ++mismatches;
+        }
+        continue;
+      }
+      tally(pulled, report);
+      auto got = destination.find_image("pulled");
+      bool same = got.ok() && got.value().manifest_digest == image.value().manifest_digest;
+      for (const oci::Descriptor& blob : blobs) {
+        auto bytes = destination.get_blob(blob.digest);
+        same = same && bytes.ok() && bytes.value() == local.get_blob(blob.digest).value();
+      }
+      if (same) {
+        ++intact;
+      } else {
+        ++mismatches;
+      }
+    }
+  };
+  std::vector<std::thread> pullers;
+  for (int t = 0; t < 3; ++t) pullers.emplace_back(puller);
+  std::thread sweeper([&] {
+    for (int i = 0; i < 15; ++i) {
+      EXPECT_TRUE(hub.remove("org/app", "1").ok());
+      EXPECT_TRUE(push().ok());
+    }
+  });
+  for (std::thread& thread : pullers) thread.join();
+  sweeper.join();
+
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(intact.load(), 0);
+  EXPECT_GT(pulled.chunks_reused, 0u);  // the local caches paid off
+  const Stats stats = hub.stats();
+  EXPECT_EQ(stats.pushed_bytes, pushed.bytes_moved);
+  EXPECT_EQ(stats.pulled_bytes, pulled.bytes_moved);
+  EXPECT_EQ(stats.chunks_moved, pushed.chunks_moved + pulled.chunks_moved);
+  EXPECT_EQ(stats.chunks_reused, pushed.chunks_reused + pulled.chunks_reused);
   EXPECT_TRUE(hub.fsck().clean());
 }
 

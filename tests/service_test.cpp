@@ -12,6 +12,7 @@
 
 #include "registry/registry.hpp"
 #include "service/service.hpp"
+#include "store/store.hpp"
 #include "support/fault.hpp"
 #include "sysmodel/sysmodel.hpp"
 #include "workloads/harness.hpp"
@@ -76,31 +77,50 @@ TEST(ServiceTest, SubmitRebuildsAndPushesResult) {
 }
 
 TEST(ServiceTest, RegistrySpansNestUnderTheTicketsPullAndPushSpans) {
-  registry::Registry hub;
-  ASSERT_TRUE(publish(hub, "minimd", "hub/minimd", "1.0").ok());
-  obs::Tracer tracer;
-  hub.set_observer(&tracer, nullptr);
-  ServiceOptions options;
-  options.tracer = &tracer;
-  RebuildService svc(hub, options);
-  ASSERT_TRUE(svc.add_system(kSys, make_target()).ok());
-  auto ticket = svc.submit({"hub/minimd", "1.0", kSys});
-  ASSERT_TRUE(ticket.ok()) << ticket.error().to_string();
-  auto done = svc.wait(ticket.value());
-  ASSERT_TRUE(done.ok());
-  ASSERT_EQ(done.value().state, JobState::succeeded) << done.value().result.error().to_string();
+  for (const bool dedup : {false, true}) {
+    SCOPED_TRACE(dedup ? "chunk dedup" : "plain");
+    registry::Registry hub;
+    if (dedup) {
+      hub.enable_chunk_dedup(
+          std::make_shared<transfer::ChunkStore>(std::make_shared<store::MemStore>()));
+    }
+    ASSERT_TRUE(publish(hub, "minimd", "hub/minimd", "1.0").ok());
+    obs::Tracer tracer;
+    hub.set_observer(&tracer, nullptr);
+    ServiceOptions options;
+    options.tracer = &tracer;
+    RebuildService svc(hub, options);
+    ASSERT_TRUE(svc.add_system(kSys, make_target()).ok());
+    auto ticket = svc.submit({"hub/minimd", "1.0", kSys});
+    ASSERT_TRUE(ticket.ok()) << ticket.error().to_string();
+    auto done = svc.wait(ticket.value());
+    ASSERT_TRUE(done.ok());
+    ASSERT_EQ(done.value().state, JobState::succeeded)
+        << done.value().result.error().to_string();
 
-  std::map<obs::SpanId, std::string> names;
-  for (const obs::SpanRecord& span : tracer.snapshot()) names[span.id] = span.name;
-  std::map<std::string, int> nested;
-  for (const obs::SpanRecord& span : tracer.snapshot()) {
-    if (span.name != "registry.pull" && span.name != "registry.push") continue;
-    const std::string want = span.name == "registry.pull" ? "service.pull" : "service.push";
-    EXPECT_EQ(names[span.parent], want) << span.name;
-    ++nested[span.name];
+    std::map<obs::SpanId, std::string> names;
+    for (const obs::SpanRecord& span : tracer.snapshot()) names[span.id] = span.name;
+    const std::map<std::string, std::string> want_parent = {
+        {"registry.pull", "service.pull"},
+        {"registry.push", "service.push"},
+        {"transfer.push", "registry.push"}};
+    std::map<std::string, int> nested;
+    for (const obs::SpanRecord& span : tracer.snapshot()) {
+      auto want = want_parent.find(span.name);
+      if (want == want_parent.end()) continue;
+      EXPECT_EQ(names[span.parent], want->second) << span.name;
+      ++nested[span.name];
+    }
+    EXPECT_EQ(nested["registry.pull"], 1);
+    EXPECT_EQ(nested["registry.push"], 1);
+    // With chunk dedup, each blob the ticket's push adds rides the chunk
+    // store's delta protocol.
+    if (dedup) {
+      EXPECT_GT(nested["transfer.push"], 0);
+    } else {
+      EXPECT_EQ(nested["transfer.push"], 0);
+    }
   }
-  EXPECT_EQ(nested["registry.pull"], 1);
-  EXPECT_EQ(nested["registry.push"], 1);
 }
 
 TEST(ServiceTest, UnknownImageAndUnknownSystemAreRejectedUpFront) {

@@ -11,7 +11,6 @@
 #include "store/cas.hpp"
 #include "store/disk.hpp"
 #include "store/remote.hpp"
-#include "store/sharded.hpp"
 #include "store/store.hpp"
 #include "store/wire.hpp"
 #include "support/fault.hpp"
@@ -420,125 +419,6 @@ TEST_F(StoreDirTest, CompareAndPutTreatsCorruptValueAsAbsent) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedStore.
-
-std::vector<std::shared_ptr<KvStore>> mem_shards(std::size_t n) {
-  std::vector<std::shared_ptr<KvStore>> shards;
-  for (std::size_t i = 0; i < n; ++i) shards.push_back(std::make_shared<MemStore>());
-  return shards;
-}
-
-TEST(ShardedStoreTest, HonoursKvContract) {
-  ShardedStore kv(mem_shards(3));
-  exercise_kv_contract(kv);
-}
-
-TEST_F(StoreDirTest, ShardedOverDiskHonoursKvContract) {
-  std::vector<std::shared_ptr<KvStore>> shards;
-  for (int i = 0; i < 3; ++i) {
-    shards.push_back(std::make_shared<DiskStore>(dir() + "/shard" + std::to_string(i)));
-  }
-  ShardedStore kv(std::move(shards));
-  exercise_kv_contract(kv);
-}
-
-TEST(ShardedStoreTest, CompareAndPutContract) {
-  ShardedStore kv(mem_shards(3));
-  exercise_cas_contract(kv);
-}
-
-TEST(ShardedStoreTest, RoutingIsDeterministicAcrossInstances) {
-  ShardedStore a(mem_shards(4));
-  ShardedStore b(mem_shards(4));
-  for (int i = 0; i < 64; ++i) {
-    const std::string key = "journal/org/app:" + std::to_string(i) + "|x86";
-    EXPECT_EQ(a.shard_of(key), b.shard_of(key)) << key;
-  }
-}
-
-TEST_F(StoreDirTest, ShardedOverDiskSurvivesReopen) {
-  auto open = [&] {
-    std::vector<std::shared_ptr<KvStore>> shards;
-    for (int i = 0; i < 3; ++i) {
-      shards.push_back(
-          std::make_shared<DiskStore>(dir() + "/shard" + std::to_string(i)));
-    }
-    return ShardedStore(std::move(shards));
-  };
-  {
-    ShardedStore kv = open();
-    for (int i = 0; i < 20; ++i) {
-      ASSERT_TRUE(kv.put("k" + std::to_string(i), "v" + std::to_string(i)).ok());
-    }
-    ASSERT_TRUE(kv.sync().ok());
-  }
-  ShardedStore reopened = open();
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(reopened.get("k" + std::to_string(i)).value(), "v" + std::to_string(i));
-  }
-  EXPECT_EQ(reopened.list().size(), 20u);
-}
-
-TEST(ShardedStoreTest, KeysSpreadOverShards) {
-  auto shards = mem_shards(4);
-  ShardedStore kv(shards);
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(kv.put("key-" + std::to_string(i), "v").ok());
-  }
-  std::size_t nonempty = 0;
-  for (const auto& shard : shards) nonempty += shard->list().empty() ? 0 : 1;
-  // 200 keys over 4 consistent-hash shards: every shard should own some.
-  EXPECT_EQ(nonempty, 4u);
-}
-
-TEST(ShardedStoreTest, ReshardMovesOnlyReownedKeys) {
-  auto shards = mem_shards(2);
-  ShardedStore kv(shards);
-  const int n = 200;
-  for (int i = 0; i < n; ++i) {
-    ASSERT_TRUE(kv.put("key-" + std::to_string(i), std::string(10, 'v')).ok());
-  }
-  // Grow 2 → 3, reusing the two existing children.
-  auto grown = shards;
-  grown.push_back(std::make_shared<MemStore>());
-  auto report = kv.reshard(grown);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.value().keys_total, static_cast<std::size_t>(n));
-  EXPECT_EQ(report.value().shards_before, 2u);
-  EXPECT_EQ(report.value().shards_after, 3u);
-  // Consistent hashing: only the keys the new shard took over moved — far
-  // fewer than a full reshuffle (which would move ~2/3 of them).
-  EXPECT_GT(report.value().keys_moved, 0u);
-  EXPECT_LT(report.value().keys_moved, static_cast<std::size_t>(n) / 2);
-  EXPECT_EQ(report.value().bytes_moved, report.value().keys_moved * 10);
-  // Every key still reads back, and the new shard really owns some.
-  for (int i = 0; i < n; ++i) {
-    EXPECT_EQ(kv.get("key-" + std::to_string(i)).value(), std::string(10, 'v'));
-  }
-  EXPECT_FALSE(grown[2]->list().empty());
-  EXPECT_EQ(kv.list().size(), static_cast<std::size_t>(n));
-}
-
-TEST(ShardedStoreTest, PerShardMetricsSumToAggregate) {
-  ShardedStore kv(mem_shards(3));
-  obs::MetricsRegistry metrics;
-  kv.set_observer(nullptr, &metrics);
-  for (int i = 0; i < 30; ++i) {
-    ASSERT_TRUE(kv.put("key-" + std::to_string(i), "v").ok());
-    ASSERT_TRUE(kv.get("key-" + std::to_string(i)).ok());
-  }
-  std::uint64_t shard_puts = 0, shard_gets = 0;
-  for (int i = 0; i < 3; ++i) {
-    shard_puts += metrics.counter_value("store.shard" + std::to_string(i) + ".puts");
-    shard_gets += metrics.counter_value("store.shard" + std::to_string(i) + ".gets");
-  }
-  EXPECT_EQ(shard_puts, 30u);
-  EXPECT_EQ(shard_gets, 30u);
-  EXPECT_EQ(metrics.counter_value("store.puts"), 30u);
-  EXPECT_EQ(metrics.counter_value("store.gets"), 30u);
-}
-
-// ---------------------------------------------------------------------------
 // RemoteStore.
 
 TEST(RemoteStoreTest, HonoursKvContract) {
@@ -622,12 +502,6 @@ TEST(RemoteStoreTest, LatencyInjectionDelaysOperations) {
   ASSERT_TRUE(kv.get("k").ok());
   const auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_GE(elapsed, std::chrono::microseconds(2000));
-}
-
-TEST(RemoteStoreTest, ConformsOverShardedBacking) {
-  // The deployment stack: remote endpoint in front of a sharded substrate.
-  RemoteStore kv(std::make_shared<ShardedStore>(mem_shards(3)));
-  exercise_kv_contract(kv);
 }
 
 TEST(RemoteStoreBreakerTest, ConsecutiveFailuresTripTheBreaker) {

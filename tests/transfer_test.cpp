@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 #include <set>
 
@@ -489,12 +490,13 @@ TEST(TransferRegistryTest, DeltaPushOfChildImageMovesFractionOfBytes) {
                   .ok());
 
   ASSERT_TRUE(hub.push(local, "app:generic", "org/app", "generic").ok());
-  auto report = hub.push_delta(local, "app:optimized", "org/app", "optimized",
-                               {"org/app:generic"});
-  ASSERT_TRUE(report.ok());
-  EXPECT_FALSE(report.value().full_push);
-  EXPECT_GT(report.value().chunks_reused, 0u);
-  EXPECT_LT(report.value().moved_fraction(), 0.4);
+  registry::ImageDeltaReport report;
+  ASSERT_TRUE(hub.push(local, "app:optimized", "org/app", "optimized",
+                       {.bases = {"org/app:generic"}, .report = &report})
+                  .ok());
+  EXPECT_FALSE(report.full_push);
+  EXPECT_GT(report.chunks_reused, 0u);
+  EXPECT_LT(report.moved_fraction(), 0.4);
 
   // The pulled child is bit-identical.
   oci::Layout remote;
@@ -528,15 +530,33 @@ TEST(TransferRegistryTest, DeltaPullReusesLocalChunkCache) {
 
   // Pull the base first: the local chunk cache hydrates. The child pull then
   // moves only the delta.
+  obs::Tracer tracer;
+  hub.set_observer(&tracer, nullptr);
   ChunkStore cache(std::make_shared<store::MemStore>());
   oci::Layout node_a;
-  auto base_report = hub.pull_delta("org/app", "base", node_a, "base", &cache);
-  ASSERT_TRUE(base_report.ok());
+  registry::ImageDeltaReport base_report;
+  ASSERT_TRUE(hub.pull("org/app", "base", node_a, "base",
+                       {.local_chunks = &cache, .report = &base_report})
+                  .ok());
   oci::Layout node_b;
-  auto child_report = hub.pull_delta("org/app", "child", node_b, "child", &cache);
-  ASSERT_TRUE(child_report.ok());
-  EXPECT_GT(child_report.value().chunks_reused, 0u);
-  EXPECT_LT(child_report.value().bytes_moved, base_report.value().bytes_moved);
+  registry::ImageDeltaReport child_report;
+  ASSERT_TRUE(hub.pull("org/app", "child", node_b, "child",
+                       {.local_chunks = &cache, .report = &child_report})
+                  .ok());
+  EXPECT_GT(child_report.chunks_reused, 0u);
+  EXPECT_LT(child_report.bytes_moved, base_report.bytes_moved);
+
+  // Each blob reassembled through the cache opens its transfer.pull span
+  // under the registry's pull span.
+  std::map<obs::SpanId, std::string> names;
+  for (const obs::SpanRecord& span : tracer.snapshot()) names[span.id] = span.name;
+  int transfer_pulls = 0;
+  for (const obs::SpanRecord& span : tracer.snapshot()) {
+    if (span.name != "transfer.pull") continue;
+    EXPECT_EQ(names[span.parent], "registry.pull");
+    ++transfer_pulls;
+  }
+  EXPECT_GT(transfer_pulls, 0);
 
   auto image = node_b.find_image("child");
   ASSERT_TRUE(image.ok());
@@ -547,8 +567,14 @@ TEST(TransferRegistryTest, DeltaApiRequiresEnabledChunkDedup) {
   registry::Registry hub;
   oci::Layout local;
   ASSERT_TRUE(local.create_image(image_config(), {tree("/x", "data")}, "x:1").ok());
-  EXPECT_EQ(hub.push_delta(local, "x:1", "org/x", "1").error().code, Errc::unsupported);
-  EXPECT_EQ(hub.pull_delta("org/x", "1", local, "y").error().code, Errc::unsupported);
+  EXPECT_EQ(hub.push(local, "x:1", "org/x", "1", {.bases = {"org/x:0"}}).error().code,
+            Errc::unsupported);
+  EXPECT_FALSE(hub.has("org/x", "1"));
+  ASSERT_TRUE(hub.push(local, "x:1", "org/x", "1").ok());
+  ChunkStore cache(std::make_shared<store::MemStore>());
+  EXPECT_EQ(hub.pull("org/x", "1", local, "y", {.local_chunks = &cache}).error().code,
+            Errc::unsupported);
+  EXPECT_FALSE(local.find_image("y").ok());
 }
 
 TEST(TransferRegistryTest, GcSweepsChunksWithBlobsButRespectsPins) {
