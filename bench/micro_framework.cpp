@@ -146,7 +146,8 @@ BENCHMARK(BM_LayoutCopy);
 
 // The front of a refresh ticket on the site side: copy the Sysenv base
 // layout, pull the lammps extended image from an in-memory hub into the
-// copy, and flatten it. Every pulled blob is SHA-256-checked on each pull.
+// copy, and flatten it. Every pulled blob is checked on each pull, by the
+// proof the hub's buffer carries since the push hashed it.
 void BM_RegistryPullAndFlatten(benchmark::State& state) {
   const sysmodel::SystemProfile& system = sysmodel::SystemProfile::x86_cluster();
   workloads::Evaluation world(system);
@@ -171,6 +172,39 @@ void BM_RegistryPullAndFlatten(benchmark::State& state) {
       static_cast<double>(hub.stats().pulled_bytes), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_RegistryPullAndFlatten);
+
+// The rest of a refresh ticket: a rebuild of openmx whose every compile and
+// link replays from a warm compile cache, on a fresh copy of the layout. What
+// is left is resolve (the cache bundle), binding the cached sources, the
+// input digests each replay checks, the replays and the layer commit.
+void BM_WarmCacheRebuild(benchmark::State& state) {
+  const sysmodel::SystemProfile& system = sysmodel::SystemProfile::x86_cluster();
+  workloads::Evaluation world(system);
+  const workloads::AppSpec* app = workloads::find_app("openmx");
+  COMT_ASSERT(app != nullptr, "openmx missing");
+  auto prepared = world.prepare(*app);
+  COMT_ASSERT(prepared.ok(), "prepare failed");
+  const auto owned = core::adapted_scheme();
+  sched::CompileCache cache;
+  core::RebuildOptions options;
+  options.system = &system;
+  options.system_repo = &workloads::system_repo(system);
+  options.sysenv_tag = workloads::sysenv_tag(system);
+  for (const auto& adapter : owned) options.adapters.push_back(adapter.get());
+  options.compile_cache = &cache;
+  const oci::Layout base = world.layout();
+  {
+    oci::Layout warm = base;
+    COMT_ASSERT(core::comtainer_rebuild(warm, prepared.value().extended_tag, options).ok(),
+                "warm-up rebuild failed");
+  }
+  for (auto _ : state) {
+    oci::Layout workspace = base;
+    auto report = core::comtainer_rebuild(workspace, prepared.value().extended_tag, options);
+    COMT_ASSERT(report.ok() && report.value().cache_misses == 0, "warm rebuild missed");
+  }
+}
+BENCHMARK(BM_WarmCacheRebuild);
 
 void BM_UserSidePipeline(benchmark::State& state) {
   // Full user-side flow: two-stage image build + analysis + cache layer.

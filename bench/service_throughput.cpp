@@ -8,8 +8,11 @@
 //                           [--trace PATH] [--json PATH]
 //   --smoke   small deterministic run with hard assertions (CI-friendly):
 //             duplicate submissions must coalesce, injected transient faults
-//             must recover via retry with zero failed tickets, and a drain
-//             during load must leave every ticket in a terminal state.
+//             must recover via retry with zero failed tickets, a drain
+//             during load must leave every ticket in a terminal state, and a
+//             finished ticket must keep at most 0.3 KiB of heap (skipped
+//             under a sanitizer, whose allocator malloc's accounting cannot
+//             see).
 //   --trace PATH   write the load run's Chrome trace JSON (service.job spans
 //                  with per-attempt pull/rebuild/push children) to PATH.
 //   --json PATH    write machine-readable results to PATH.
@@ -19,6 +22,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <malloc.h>
 #include <string>
 #include <thread>
 #include <vector>
@@ -87,6 +91,22 @@ double percentile(std::vector<double> values, double p) {
   std::size_t hi = std::min(lo + 1, values.size() - 1);
   double frac = rank - static_cast<double>(lo);
   return values[lo] * (1.0 - frac) + values[hi] * frac;
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitizedAllocator = true;
+#else
+constexpr bool kSanitizedAllocator = false;
+#endif
+
+/// Ceiling on what a finished ticket may keep: its share of the job's
+/// outcome (state, result, output, trace), not the job.
+constexpr double kMaxTicketRecordBytes = 0.3 * 1024;
+
+/// Heap bytes in use, over every malloc arena.
+std::size_t heap_in_use() {
+  malloc_trim(0);
+  return mallinfo2().uordblks;
 }
 
 double service_ms(const service::JobTrace& trace) {
@@ -394,6 +414,61 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // ---- what a finished ticket keeps -----------------------------------------
+  // Every ticket ever issued keeps answering status(), so a long-lived
+  // service grows by what each finished ticket retains. Sequential tickets
+  // for one image on a fresh single-worker service: the growth of the heap in
+  // use over the run, per ticket. The hub's observer is detached first — a
+  // tracer keeps every span it is handed.
+  double record_bytes = 0;
+  if (kSanitizedAllocator) {
+    std::printf("\nticket record: SKIP (a sanitizer's allocator hides malloc's accounting)\n");
+  } else {
+    hub.set_observer(nullptr, nullptr);
+    service::ServiceOptions record_options;
+    record_options.workers_per_system = 1;
+    service::RebuildService record_svc(hub, record_options);
+    std::vector<std::string> record_sites;
+    if (add_systems(record_svc, 1, record_sites) != 0) return 1;
+    service::SubmitRequest request;
+    request.name = images.front();
+    request.tag = "1.0";
+    request.system = record_sites.front();
+    auto run_tickets = [&](int count) {
+      for (int i = 0; i < count; ++i) {
+        auto ticket = record_svc.submit(request);
+        if (!ticket.ok()) return false;
+        auto done = record_svc.wait(ticket.value());
+        if (!done.ok() || done.value().state != service::JobState::succeeded) return false;
+      }
+      return true;
+    };
+    // Warm-up: the compile cache, the metrics instruments and the kept
+    // layer trees reach their steady state before the baseline.
+    constexpr int kRecordTickets = 5000;
+    if (!run_tickets(20)) {
+      std::fprintf(stderr, "ticket record: warm-up ticket did not succeed\n");
+      return 1;
+    }
+    const std::size_t before = heap_in_use();
+    if (!run_tickets(kRecordTickets)) {
+      std::fprintf(stderr, "ticket record: a measured ticket did not succeed\n");
+      return 1;
+    }
+    const std::size_t after = heap_in_use();
+    record_bytes = after > before
+                       ? static_cast<double>(after - before) / kRecordTickets
+                       : 0.0;
+    std::printf("\nticket record: %.0f B of heap kept per finished ticket (%d tickets, "
+                "limit %.0f B)\n",
+                record_bytes, kRecordTickets, kMaxTicketRecordBytes);
+    if (smoke && record_bytes > kMaxTicketRecordBytes) {
+      std::fprintf(stderr, "SMOKE: a finished ticket keeps %.0f B, over %.0f B\n",
+                   record_bytes, kMaxTicketRecordBytes);
+      return 1;
+    }
+  }
+
   if (!json_path.empty()) {
     json::Object doc;
     doc.emplace_back("clients", json::Value(clients));
@@ -443,6 +518,9 @@ int main(int argc, char** argv) {
                            json::Value(static_cast<std::uint64_t>(drain_succeeded)));
     drain_obj.emplace_back("drained", json::Value(static_cast<std::uint64_t>(drain_drained)));
     doc.emplace_back("drain", json::Value(std::move(drain_obj)));
+    if (!kSanitizedAllocator) {
+      doc.emplace_back("ticket_record_bytes", json::Value(round3(record_bytes)));
+    }
     if (write_file(json_path, json::serialize_pretty(json::Value(std::move(doc)))) != 0) {
       return 1;
     }

@@ -75,7 +75,7 @@ int main() {
 
   const core::BuildGraph& graph = bundle.value().models.graph;
   std::printf("\n== build graph (%zu nodes, %zu cached inputs) ==\n", graph.size(),
-              bundle.value().sources.size());
+              bundle.value().sources.node_count());
   for (const core::GraphNode& node : graph.nodes()) {
     std::string deps;
     for (int dep : node.deps) deps += (deps.empty() ? "" : ",") + std::to_string(dep);

@@ -14,9 +14,10 @@
 # under ThreadSanitizer reruns the concurrency layer
 # (scheduler — including the SchedStress pool/cache/epoch tests —
 # registry, rebuild service, obs tracing/metrics, OCI layouts, whose
-# copies share blob buffers and unpacked layer trees across threads, and the
-# crash-resume sweep, whose 4-thread pass crashes the wave path from its
-# commit hook) and the service + soak smoke benches. A third
+# copies share blob buffers, their proofs and unpacked layer trees across
+# threads, vfs, whose shared nodes keep a digest memo that concurrent wave
+# jobs fill, and the crash-resume sweep, whose 4-thread pass crashes the
+# wave path from its commit hook) and the service + soak smoke benches. A third
 # build under AddressSanitizer reruns the durability layer (write-ahead
 # journal, crash/torn-write injection, fsck/repair), SHA-256, vfs, the tar
 # parser's damage sweeps, OCI layouts and the registry, whose pulled blob
@@ -48,6 +49,9 @@ echo "== bench smoke (tracing enabled) =="
 # nest under the root "rebuild" span — any violation is a non-zero exit.
 "$build_dir/bench/parallel_rebuild" --smoke --trace "$build_dir/rebuild_trace.json"
 test -s "$build_dir/rebuild_trace.json"
+# The service smoke also gates what a finished ticket keeps: at most 0.3 KiB
+# of heap per ticket over 5000 sequential tickets (sanitizer stages, whose
+# allocators malloc's accounting cannot see, print a SKIP notice instead).
 "$build_dir/bench/service_throughput" --smoke
 "$build_dir/bench/crash_resume" --smoke
 # Fleet smoke: duplicate submissions across replicas must dedup to one lease
@@ -79,15 +83,17 @@ if [ "${COMT_SKIP_TSAN:-0}" != "1" ]; then
   cmake -B "$tsan_dir" -S "$repo" -DCOMT_SANITIZE=thread
   cmake --build "$tsan_dir" -j "$jobs"
 
-  echo "== tsan test (concurrency layer, layouts, crash resume) =="
-  # Layout|Flatten: layout copies share blob buffers and kept layer trees,
-  # and concurrent flattens of one layout race to keep the same tree.
+  echo "== tsan test (concurrency layer, layouts, vfs, crash resume) =="
+  # Layout|Flatten: layout copies share blob buffers, their proofs and kept
+  # layer trees, and concurrent flattens of one layout race to keep the same
+  # tree. Vfs: every copy of a tree shares its nodes, and the first of the
+  # wave jobs that digest one node fills the node's memo for all of them.
   # CrashResume: the sweep's 4-thread pass unwinds a wave-mode rebuild from
   # its commit hook while the pool's workers are parked. RegistryStress
   # includes pulls through per-puller chunk caches that read the hub's
   # chunk store under the shared lock while a remove sweeps it.
   ctest --test-dir "$tsan_dir" --output-on-failure -j "$jobs" \
-        -R 'Sched|SchedStress|ThreadPool|Dag|CompileCache|RegistryStress|Service|FaultInjector|Obs|Store|Fleet|Transfer|Layout|Flatten|CrashResume'
+        -R 'Sched|SchedStress|ThreadPool|Dag|CompileCache|RegistryStress|Service|FaultInjector|Obs|Store|Fleet|Transfer|Layout|Flatten|Vfs|CrashResume'
 
   echo "== tsan bench smoke =="
   "$tsan_dir/bench/service_throughput" --smoke

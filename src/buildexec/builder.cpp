@@ -1,6 +1,5 @@
 #include "buildexec/builder.hpp"
 
-#include "support/sha256.hpp"
 #include "support/strings.hpp"
 
 namespace comt::buildexec {
@@ -147,10 +146,8 @@ Result<oci::Image> ImageBuilder::build(const dockerfile::Dockerfile& file,
           }
           if (record != nullptr && hijack) {
             for (const std::string& output : movement.outputs) {
-              auto content = container.rootfs().read_file(output);
-              if (content.ok()) {
-                movement.digests[output] = Sha256::hex_digest(content.value());
-              }
+              auto digest = container.rootfs().digest(output);
+              if (digest.ok()) movement.digests[output] = std::move(digest).value();
             }
             record->invocations.push_back(std::move(movement));
           }

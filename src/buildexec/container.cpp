@@ -4,7 +4,6 @@
 #include <set>
 
 #include "buildexec/make.hpp"
-#include "support/sha256.hpp"
 #include "support/strings.hpp"
 #include "toolchain/driver.hpp"
 #include "toolchain/options.hpp"
@@ -214,8 +213,8 @@ Status Container::execute(const std::vector<std::string>& argv) {
   for (const std::vector<std::string>* paths :
        {&invocation.inputs_read, &invocation.outputs}) {
     for (const std::string& path : *paths) {
-      auto content = rootfs_.read_file(path);
-      if (content.ok()) invocation.digests[path] = Sha256::hex_digest(content.value());
+      auto digest = rootfs_.digest(path);
+      if (digest.ok()) invocation.digests[path] = std::move(digest).value();
     }
   }
   if (record_ != nullptr) record_->invocations.push_back(std::move(invocation));

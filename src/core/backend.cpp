@@ -142,18 +142,17 @@ Result<RebuildReport> comtainer_rebuild(oci::Layout& layout, std::string_view ex
   obs::Span resolve_span =
       obs::maybe_span(options.tracer, "resolve", root_span.id(), "resolve");
   COMT_TRY(oci::Image extended, layout.find_image(extended_tag));
-  COMT_TRY(vfs::Filesystem extended_rootfs, layout.flatten(extended));
-  COMT_TRY(CacheBundle bundle, load_cache(extended_rootfs));
+  COMT_TRY(std::shared_ptr<const CacheBundle> bundle, cache_bundle(layout, extended));
 
   // Adapters operate on an independent copy of the models (§4.2).
-  BuildGraph graph = bundle.models.graph;
+  BuildGraph graph = bundle->models.graph;
   AdapterContext context{options.system, options.system_repo};
   RebuildReport report;
   report.root_span = root_span.id();
   bool want_profile = false;
   for (const SystemAdapter* adapter : options.adapters) {
     COMT_TRY_STATUS(adapter->adapt_graph(graph, context));
-    adapter->adapt_packages(report.package_replacements, bundle.models.image, context);
+    adapter->adapt_packages(report.package_replacements, bundle->models.image, context);
     want_profile = want_profile || adapter->wants_profile_feedback();
   }
 
@@ -162,19 +161,21 @@ Result<RebuildReport> comtainer_rebuild(oci::Layout& layout, std::string_view ex
   builder.set_apt_source(options.system_repo);
   COMT_TRY(buildexec::Container container, builder.container_from(options.sysenv_tag));
 
-  // Materialize every build input from the cache at its recorded path.
-  // Inputs absent from the cache must be environment-provided files
-  // (package-owned libraries): the Sysenv container supplies its own —
-  // optimized — builds of those at the same paths.
+  // Materialize every build input from the cache at its recorded path,
+  // binding the cache's own node (its bytes and its digest memo, shared by
+  // every rebuild of this image). Inputs absent from the cache must be
+  // environment-provided files (package-owned libraries): the Sysenv
+  // container supplies its own — optimized — builds of those at the same
+  // paths.
   for (const GraphNode& node : graph.nodes()) {
     if (!node.is_leaf() || node.content_digest.empty()) continue;
-    auto source = bundle.sources.find(node.content_digest);
-    if (source == bundle.sources.end()) {
+    const std::string source = "/" + node.content_digest;
+    if (!bundle->sources.is_regular(source)) {
       if (container.rootfs().exists(node.path)) continue;
       return make_error(Errc::corrupt, "rebuild: cache is missing input " + node.path +
                                            " and the system provides no substitute");
     }
-    COMT_TRY_STATUS(container.rootfs().write_file(node.path, source->second));
+    COMT_TRY_STATUS(container.rootfs().copy_from(bundle->sources, source, node.path));
   }
 
   // The compile scheduler. Each non-leaf graph node becomes one job whose
@@ -248,8 +249,8 @@ Result<RebuildReport> comtainer_rebuild(oci::Layout& layout, std::string_view ex
   auto digest_in_rootfs = [&](const std::string& path) -> std::string {
     const vfs::Filesystem& fs =
         epoch_view != nullptr ? *epoch_view : container.rootfs();
-    auto content = fs.read_file(path);
-    return content.ok() ? Sha256::hex_digest(content.value()) : std::string();
+    auto digest = fs.digest(path);
+    return digest.ok() ? std::move(digest).value() : std::string();
   };
 
   // One job body. `slot == nullptr` is the sequential path: execute in place
@@ -332,14 +333,13 @@ Result<RebuildReport> comtainer_rebuild(oci::Layout& layout, std::string_view ex
       if (options.compile_cache != nullptr) {
         sched::CacheEntry entry;
         for (const std::string& in_path : executed.value().inputs_read) {
-          auto content = fs->read_file(in_path);
-          entry.input_digests[in_path] =
-              content.ok() ? Sha256::hex_digest(content.value()) : std::string();
+          auto digest = fs->digest(in_path);
+          entry.input_digests[in_path] = digest.ok() ? std::move(digest).value() : std::string();
         }
         if (!executed.value().resolved_program.empty()) {
-          auto program = fs->read_file(executed.value().resolved_program);
+          auto digest = fs->digest(executed.value().resolved_program);
           entry.input_digests[executed.value().resolved_program] =
-              program.ok() ? Sha256::hex_digest(program.value()) : std::string();
+              digest.ok() ? std::move(digest).value() : std::string();
         }
         if (slot != nullptr || options.journal != nullptr) {
           entry.outputs = outputs;  // the write-back / journal commit below still needs them
@@ -575,7 +575,7 @@ Result<RebuildReport> comtainer_rebuild(oci::Layout& layout, std::string_view ex
   obs::Span commit_span =
       obs::maybe_span(options.tracer, "layer-commit", root_span.id(), "layer-commit");
   vfs::Filesystem rebuild_layer;
-  for (const ImageFileEntry& entry : bundle.models.image.files) {
+  for (const ImageFileEntry& entry : bundle->models.image.files) {
     if (entry.origin != FileOrigin::build_process || entry.build_node < 0) continue;
     const GraphNode& node = graph.node(entry.build_node);
     auto content = container.rootfs().read_file(node.path);
@@ -630,8 +630,9 @@ Result<RedirectReport> comtainer_redirect(oci::Layout& layout, std::string_view 
   redirect_span.annotate("image", source_tag);
   COMT_TRY(oci::Image source, layout.find_image(source_tag));
   COMT_TRY(vfs::Filesystem source_rootfs, layout.flatten(source));
-  COMT_TRY(CacheBundle bundle, load_cache(source_rootfs));
-  const ImageModel& model = bundle.models.image;
+  COMT_TRY(std::shared_ptr<const CacheBundle> bundle,
+           cache_bundle(layout, source, &source_rootfs));
+  const ImageModel& model = bundle->models.image;
 
   // Package replacements: from the rebuild layer when present, plus any the
   // caller supplies (redirect-only flows).

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -30,7 +31,11 @@ inline constexpr std::string_view kRebuildDir = "/.coMtainer/rebuild";
 /// input's content keyed by digest.
 struct CacheBundle {
   ProcessModels models;
-  std::map<std::string, std::string> sources;  ///< content digest -> bytes
+  /// One regular file per cached build input, at "/<content digest>", each
+  /// checked against its name. The nodes are the image's own: a bundle holds
+  /// no copy of the source bytes, and binding a node elsewhere (copy_from)
+  /// keeps its digest memo.
+  vfs::Filesystem sources;
 };
 
 struct CacheOptions {
@@ -50,6 +55,18 @@ Result<vfs::Filesystem> make_cache_layer(const ProcessModels& models,
 
 /// Reads a cache bundle back out of an extended image's flattened tree.
 Result<CacheBundle> load_cache(const vfs::Filesystem& extended_rootfs);
+
+/// The cache bundle of `image`, an extended image in `layout`: the one way
+/// comtainer_rebuild, comtainer_redirect and verify_extended_image get it.
+/// When one layer is the only one that adds to, replaces or hides kCacheDir
+/// (whiteouts and opaque markers on it or its ancestors included), this is
+/// the bundle kept with that layer's stored buffer: parsed, and every source
+/// checked, once per buffer, with no flatten of the image. Otherwise, and on
+/// an attached layout, it is load_cache(flatten(image)); `flattened`, when
+/// the caller already holds that flatten, spares a second one.
+Result<std::shared_ptr<const CacheBundle>> cache_bundle(
+    const oci::Layout& layout, const oci::Image& image,
+    const vfs::Filesystem* flattened = nullptr);
 
 /// Total size in bytes of the cache layer's files (Table 3's "Cache" column).
 std::uint64_t cache_layer_bytes(const vfs::Filesystem& cache_layer);

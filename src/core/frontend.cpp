@@ -4,7 +4,6 @@
 #include <set>
 
 #include "pkg/pkg.hpp"
-#include "support/sha256.hpp"
 #include "support/strings.hpp"
 
 namespace comt::core {
@@ -124,9 +123,7 @@ Result<ImageModel> classify_image(const oci::Layout& layout, const oci::Image& d
     ImageFileEntry entry;
     entry.path = path;
     entry.size = node.content.size();
-    entry.digest = node.type == vfs::NodeType::regular
-                       ? Sha256::hex_digest(node.content)
-                       : "";
+    entry.digest = node.type == vfs::NodeType::regular ? node.digest() : "";
 
     const vfs::Node* base_node = base_fs.lookup(path);
     std::string owner = database.owner_of(path);

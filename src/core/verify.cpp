@@ -21,17 +21,17 @@ Result<VerifyReport> verify_extended_image(const oci::Layout& layout,
   COMT_TRY(oci::Image image, layout.find_image(tag));
   COMT_TRY(vfs::Filesystem rootfs, layout.flatten(image));
 
-  // 2. The cache bundle (load_cache verifies every source's digest).
-  auto bundle = load_cache(rootfs);
+  // 2. The cache bundle (every source's digest is checked).
+  auto bundle = cache_bundle(layout, image, &rootfs);
   if (!bundle.ok()) {
     report.problems.push_back("cache: " + bundle.error().to_string());
     return report;
   }
   report.is_extended = true;
-  const BuildGraph& graph = bundle.value().models.graph;
-  const ImageModel& model = bundle.value().models.image;
+  const BuildGraph& graph = bundle.value()->models.graph;
+  const ImageModel& model = bundle.value()->models.image;
   report.graph_nodes = graph.size();
-  report.sources_cached = bundle.value().sources.size();
+  report.sources_cached = bundle.value()->sources.node_count();
 
   // 3. Graph structure.
   if (auto order = graph.topological_order(); order.ok()) {
@@ -44,7 +44,7 @@ Result<VerifyReport> verify_extended_image(const oci::Layout& layout,
   COMT_TRY(pkg::Database database, pkg::Database::load(rootfs));
   for (const GraphNode& node : graph.nodes()) {
     if (!node.is_leaf() || node.content_digest.empty()) continue;
-    if (bundle.value().sources.count(node.content_digest) != 0) continue;
+    if (bundle.value()->sources.exists("/" + node.content_digest)) continue;
     // Package-owned inputs are substituted by the target environment.
     if (!database.owner_of(node.path).empty()) continue;
     if (starts_with(node.path, "/usr/lib/") || starts_with(node.path, "/lib/")) continue;

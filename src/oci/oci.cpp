@@ -170,12 +170,24 @@ Result<Manifest> Manifest::from_json(const json::Value& value) {
 
 namespace detail {
 
-/// One layer buffer's unpacked tree. The slot holds the buffer it is bound
-/// to, so it can never hold the tree of other bytes (nor can that buffer be
+/// What is known of one stored buffer. The slot holds the buffer it is bound
+/// to, so none of it can ever speak for other bytes (nor can that buffer be
 /// freed and its address reused while the slot lives). The mutex is held
-/// while the tree unpacks, so concurrent flattens unpack a buffer once.
+/// while the tree unpacks and while the memo derives, so concurrent readers
+/// unpack and derive a buffer once.
 struct LayerSlot {
-  explicit LayerSlot(std::shared_ptr<const std::string> bytes) : bytes(std::move(bytes)) {}
+  explicit LayerSlot(std::shared_ptr<const std::string> bytes, Digest proof = {})
+      : bytes(std::move(bytes)), proof(std::move(proof)) {}
+
+  bool proven(const Digest& digest) {
+    std::lock_guard<std::mutex> lock(mutex);
+    return proof == digest;
+  }
+
+  void prove(const Digest& digest) {
+    std::lock_guard<std::mutex> lock(mutex);
+    proof = digest;
+  }
 
   Result<std::shared_ptr<const vfs::Filesystem>> tree() {
     std::lock_guard<std::mutex> lock(mutex);
@@ -188,17 +200,26 @@ struct LayerSlot {
 
   const std::shared_ptr<const std::string> bytes;
   std::mutex mutex;
+  Digest proof;  ///< the digest `bytes` hashed to when checked; empty until then
   std::shared_ptr<const vfs::Filesystem> unpacked;  ///< null until first use
+  std::optional<std::type_index> memo_kind;  ///< the type of `memo`, once kept
+  std::shared_ptr<const void> memo;
 };
 
 }  // namespace detail
 
 Status SharedBlob::verify(const Digest& digest) {
-  if (verified_ == digest) return Status::success();
+  const bool proven =
+      !digest.empty() && (slot_ != nullptr ? slot_->proven(digest) : verified_ == digest);
+  if (proven) return Status::success();
   if (Digest::of_blob(*bytes_) != digest) {
     return make_error(Errc::corrupt, "blob content does not match digest " + digest.value);
   }
-  verified_ = digest;
+  if (slot_ != nullptr) {
+    slot_->prove(digest);
+  } else {
+    verified_ = digest;
+  }
   return Status::success();
 }
 
@@ -339,12 +360,19 @@ Descriptor Layout::put_blob(std::string blob, std::string_view media_type) {
   descriptor.digest = Digest::of_blob(blob);
   descriptor.size = blob.size();
   check_torn_put(descriptor.digest.value, blob);
-  // put_at under the precomputed digest: a re-put of the same digest is
+  // Stored under the precomputed digest: a re-put of the same digest is
   // normally a no-op rewrite under content addressing — but it heals a blob
   // an earlier torn write left truncated under this digest.
-  COMT_ASSERT(blobs_.put_at(descriptor.digest.value, std::move(blob)).ok(),
+  auto stored = std::make_shared<const std::string>(std::move(blob));
+  COMT_ASSERT(blobs_.put_shared_at(descriptor.digest.value, stored).ok(),
               "layout: blob store put failed");
-  trees_.drop(descriptor.digest.value);
+  if (attached_) {
+    trees_.drop(descriptor.digest.value);
+  } else {
+    // The digest was just computed from this very buffer: its proof.
+    trees_.keep(descriptor.digest.value,
+                std::make_shared<detail::LayerSlot>(std::move(stored), descriptor.digest));
+  }
   return descriptor;
 }
 
@@ -361,11 +389,16 @@ Status Layout::adopt_blob(const Descriptor& descriptor, SharedBlob shared) {
   COMT_TRY_STATUS(shared.verify(descriptor.digest));
   const std::string& digest = descriptor.digest.value;
   check_torn_put(digest, shared.bytes());
-  COMT_TRY_STATUS(blobs_.put_shared_at(digest, std::move(shared.bytes_)));
-  if (attached_ || shared.slot_ == nullptr) {
+  COMT_TRY_STATUS(blobs_.put_shared_at(digest, shared.bytes_));
+  if (attached_) {
     trees_.drop(digest);
-  } else {
+  } else if (shared.slot_ != nullptr) {
     trees_.keep(digest, std::move(shared.slot_));
+  } else {
+    // Bytes no layout held before: their slot starts with the proof just
+    // checked.
+    trees_.keep(digest, std::make_shared<detail::LayerSlot>(std::move(shared.bytes_),
+                                                            descriptor.digest));
   }
   return Status::success();
 }
@@ -374,7 +407,6 @@ void Layout::set_blob_bytes(const Digest& digest, std::string bytes) {
   COMT_ASSERT(has_blob(digest), ("set_blob_bytes: no such blob: " + digest.value).c_str());
   COMT_ASSERT(blobs_.put_at(digest.value, std::move(bytes)).ok(),
               "set_blob_bytes: blob store put failed");
-  trees_.drop(digest.value);
 }
 
 Result<std::string> Layout::get_blob(const Digest& digest) const {
@@ -500,6 +532,26 @@ Result<Layout::Tree> Layout::layer_tree(const Descriptor& layer) const {
   if (shared.slot_ != nullptr) return shared.slot_->tree();
   COMT_TRY(vfs::Filesystem unpacked, tar::unpack(shared.bytes()));
   return std::make_shared<const vfs::Filesystem>(std::move(unpacked));
+}
+
+Result<std::shared_ptr<const void>> Layout::layer_memo_impl(const Descriptor& layer,
+                                                            std::type_index kind,
+                                                            const Derive& derive) const {
+  COMT_TRY(SharedBlob shared, share_blob(layer.digest));
+  if (shared.slot_ == nullptr) {
+    COMT_TRY(vfs::Filesystem unpacked, tar::unpack(shared.bytes()));
+    return derive(unpacked);
+  }
+  detail::LayerSlot& slot = *shared.slot_;
+  COMT_TRY(Tree tree, slot.tree());
+  std::lock_guard<std::mutex> lock(slot.mutex);
+  if (slot.memo_kind == kind) return slot.memo;
+  COMT_TRY(std::shared_ptr<const void> derived, derive(*tree));
+  if (!slot.memo_kind.has_value()) {
+    slot.memo_kind = kind;
+    slot.memo = derived;
+  }
+  return derived;
 }
 
 Descriptor Layout::put_layer(const vfs::Filesystem& tree) {

@@ -6,12 +6,14 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <typeindex>
 #include <vector>
 
 #include "json/json.hpp"
@@ -107,28 +109,33 @@ struct Image {
 };
 
 namespace detail {
-/// The unpacked tree of one stored layer buffer (defined in oci.cpp).
+/// What is known of one stored buffer (defined in oci.cpp): the digest it
+/// was proven against, its unpacked tree, and one value derived from it.
 struct LayerSlot;
 }  // namespace detail
 
 /// A stored blob handed from one layout to another by reference
 /// (Layout::share_blob, then Layout::adopt_blob): the immutable buffer, and
-/// the slot its unpacked tree lives in, so a tree unpacked by any layout
-/// that holds the buffer serves every other one. A blob shared by an
-/// attached layout is a fresh copy of its bytes and has no slot, as has one
-/// made from bytes.
+/// the slot bound to it, which carries the buffer's proof and its unpacked
+/// tree, so a hash or an unpack done by any layout that holds the buffer
+/// serves every other one. A blob shared by an attached layout is a fresh
+/// copy of its bytes and has no slot, as has one made from bytes.
 class SharedBlob {
  public:
-  /// Bytes no layout holds yet (a blob reassembled from chunks): no slot,
-  /// and unchecked until verify() passes.
-  explicit SharedBlob(std::string bytes)
-      : bytes_(std::make_shared<const std::string>(std::move(bytes))) {}
+  /// Bytes no layout holds yet (a blob reassembled from chunks): no slot.
+  /// `proven` is the digest the caller already checked them against (a
+  /// chunk reassembly's end-to-end check); verify() against it hashes
+  /// nothing, and against any other digest hashes the bytes.
+  explicit SharedBlob(std::string bytes, Digest proven = {})
+      : bytes_(std::make_shared<const std::string>(std::move(bytes))),
+        verified_(std::move(proven)) {}
 
   const std::string& bytes() const { return *bytes_; }
 
   /// Checks the bytes' SHA-256 against `digest`: Errc::corrupt, naming the
-  /// digest, when they differ. A passed check is remembered, so adopting
-  /// this handle under the same digest does not hash the bytes again.
+  /// digest, when they differ. A passed check is the buffer's proof: it is
+  /// kept in the buffer's slot (in this handle when it has none), so no
+  /// holder of the buffer hashes it again for the same digest.
   Status verify(const Digest& digest);
 
  private:
@@ -136,7 +143,7 @@ class SharedBlob {
   SharedBlob() = default;  ///< only Layout::share_blob makes one
   std::shared_ptr<const std::string> bytes_;
   std::shared_ptr<detail::LayerSlot> slot_;
-  Digest verified_;  ///< the digest the bytes were checked against, if any
+  Digest verified_;  ///< a slotless handle's proof: the digest it was checked against
 };
 
 /// An OCI layout: content-addressed blobs plus an index mapping ref-name
@@ -146,15 +153,19 @@ class SharedBlob {
 /// paper's workflow mounts into containers at /.coMtainer/io, maintained
 /// live instead of via one-shot save_layout).
 ///
-/// An in-memory layout also keeps each layer it has flattened unpacked, in a
-/// slot bound to the layer's stored buffer, so the next flatten binds the
-/// kept tree's nodes instead of un-tarring the bytes again. A slot never
-/// holds the tree of other bytes: flatten uses the slot of the buffer stored
-/// at that moment, so it always returns the fold of apply_layer over
-/// tar::unpack of the bytes stored now, damaged bytes included. Copies and
-/// adopters of a buffer share its slot; a write or removal of a digest drops
-/// the digest's slot. An attached layout keeps no trees: another writer can
-/// change its backend.
+/// An in-memory layout keeps what it learns of each stored buffer in a slot
+/// bound to that buffer: the digest the buffer was proven against (put_blob
+/// proves what it stores, adopt_blob what it checked), its unpacked tree,
+/// so the next flatten binds the kept tree's nodes instead of un-tarring the
+/// bytes again, and one value derived from the tree (layer_memo). A slot
+/// never speaks for other bytes: every read takes the slot of the buffer
+/// stored at that moment, so flatten always returns the fold of apply_layer
+/// over tar::unpack of the bytes stored now, damaged bytes included, and a
+/// proof never covers bytes it was not computed from. Copies and adopters of
+/// a buffer share its slot; a put binds a fresh slot to the digest it
+/// replaces, a torn put and a removal drop the digest's slot. An attached
+/// layout keeps no slots: another writer can change its backend, so every
+/// read from it is hashed.
 class Layout {
  public:
   Layout();
@@ -182,7 +193,8 @@ class Layout {
 
   /// Stores a blob and returns its descriptor. Re-putting a digest replaces
   /// the stored bytes, so writing the true content heals a previously torn
-  /// blob under the same digest.
+  /// blob under the same digest. The digest computed here is the stored
+  /// buffer's proof.
   Descriptor put_blob(std::string blob, std::string_view media_type);
 
   /// Attaches torn-write injection to put_blob: when an armed schedule fires
@@ -192,9 +204,11 @@ class Layout {
   void set_fault_injector(support::FaultInjector* faults) { faults_ = faults; }
 
   /// Overwrites the bytes stored under `digest` without re-hashing — the
-  /// in-memory stand-in for on-disk bit rot under a content address. fsck
-  /// tests corrupt blobs through this; no production path calls it. The
-  /// blob must already exist.
+  /// in-memory stand-in for on-disk bit rot under a content address. Like
+  /// real rot it tells nobody: the slot kept for the old buffer stays, and
+  /// only its binding to that buffer keeps its proof and tree off the new
+  /// bytes. fsck tests corrupt blobs through this; no production path calls
+  /// it. The blob must already exist.
   void set_blob_bytes(const Digest& digest, std::string bytes);
 
   Result<std::string> get_blob(const Digest& digest) const;
@@ -215,9 +229,11 @@ class Layout {
 
   /// Stores a shared blob under `descriptor.digest`, only if its SHA-256
   /// equals that digest; otherwise returns Errc::corrupt and stores nothing.
-  /// An in-memory layout keeps the buffer and its slot, an attached one
-  /// writes the bytes. Replaces any bytes stored under the digest (a heal,
-  /// like put_blob), and checks kBlobPutSite exactly once, as put_blob does.
+  /// A buffer already proven against that digest is not hashed again. An
+  /// in-memory layout keeps the buffer and its slot, which now carries the
+  /// proof; an attached one writes the bytes. Replaces any bytes stored under
+  /// the digest (a heal, like put_blob), and checks kBlobPutSite exactly
+  /// once, as put_blob does.
   Status adopt_blob(const Descriptor& descriptor, SharedBlob shared);
 
   /// Drops a blob from the store. Returns the bytes freed, 0 when absent or
@@ -266,6 +282,34 @@ class Layout {
   /// buffer's slot. Safe to call from several threads at once.
   Result<vfs::Filesystem> flatten(const Image& image) const;
 
+  /// The unpacked tree of `layer`, as flatten applies it: kept in the slot
+  /// of its stored buffer and unpacked on first use (an attached layout
+  /// unpacks a fresh copy every time). Safe from several threads at once.
+  Result<std::shared_ptr<const vfs::Filesystem>> layer_tree(const Descriptor& layer) const;
+
+  /// `derive` of `layer`'s unpacked tree, kept in the slot of the layer's
+  /// stored buffer: computed at most once per buffer, and shared by every
+  /// layout holding the buffer. A slot keeps one value, of the type the
+  /// first caller asked for; an attached layout keeps none, so there every
+  /// call derives afresh. A failed derive is returned and not kept.
+  template <typename T>
+  Result<std::shared_ptr<const T>> layer_memo(
+      const Descriptor& layer,
+      const std::function<Result<std::shared_ptr<const T>>(const vfs::Filesystem&)>& derive)
+      const {
+    COMT_TRY(std::shared_ptr<const void> kept,
+             layer_memo_impl(layer, typeid(T),
+                             [&derive](const vfs::Filesystem& tree)
+                                 -> Result<std::shared_ptr<const void>> {
+                               COMT_TRY(std::shared_ptr<const T> value, derive(tree));
+                               return std::shared_ptr<const void>(std::move(value));
+                             }));
+    return std::static_pointer_cast<const T>(std::move(kept));
+  }
+
+  /// attach() ran: blobs live in an external backend, and no slot is kept.
+  bool attached() const { return attached_; }
+
   /// Packs `tree` as a tar layer blob and returns its layer descriptor.
   Descriptor put_layer(const vfs::Filesystem& tree);
 
@@ -307,7 +351,7 @@ class Layout {
     /// The slot of `digest` bound to `bytes`: the kept one, or a new one,
     /// kept from now on, when there is none or it is bound to other bytes.
     Slot slot(const std::string& digest, const std::shared_ptr<const std::string>& bytes);
-    /// Keeps an adopted blob's slot for `digest`.
+    /// Keeps `slot` for `digest`: an adopted blob's, or a put blob's.
     void keep(const std::string& digest, Slot slot);
     void drop(const std::string& digest);
     void clear();
@@ -318,9 +362,10 @@ class Layout {
   };
 
   void copy_blobs_from(const Layout& other);
-  /// The unpacked tree of `layer`: its slot's, unpacked on first use (an
-  /// attached layout unpacks a fresh copy every time).
-  Result<Tree> layer_tree(const Descriptor& layer) const;
+  using Derive = std::function<Result<std::shared_ptr<const void>>(const vfs::Filesystem&)>;
+  Result<std::shared_ptr<const void>> layer_memo_impl(const Descriptor& layer,
+                                                      std::type_index kind,
+                                                      const Derive& derive) const;
   /// The kBlobPutSite check of a blob write: when an armed schedule fires,
   /// stores a torn prefix of `bytes` under `digest` and throws
   /// CrashInjected.

@@ -244,7 +244,8 @@ Status Registry::pull(std::string_view name, std::string_view tag, oci::Layout& 
       report.bytes_deduped += delta.value().bytes_deduped;
       report.chunks_moved += delta.value().chunks_moved;
       report.chunks_reused += delta.value().chunks_reused;
-      fetched.emplace_back(blob, oci::SharedBlob(std::move(bytes)));
+      // pull_delta proved the reassembled bytes against this digest.
+      fetched.emplace_back(blob, oci::SharedBlob(std::move(bytes), blob.digest));
       return Status::success();
     };
     COMT_TRY_STATUS(fetch(image.manifest.config));
@@ -256,8 +257,10 @@ Status Registry::pull(std::string_view name, std::string_view tag, oci::Layout& 
     transfer_.chunks_moved += chunked.chunks_moved;
     transfer_.chunks_reused += chunked.chunks_reused;
   }
-  // Every fetched blob is hashed before any is adopted: a damaged hub blob
-  // fails the pull as Errc::corrupt and leaves the destination as it was.
+  // Every fetched blob is checked before any is adopted: a damaged hub blob
+  // fails the pull as Errc::corrupt and leaves the destination as it was. A
+  // buffer the hub proved when it took it in, or the chunk route proved
+  // when it reassembled it, is not hashed again.
   for (auto& [blob, shared] : fetched) COMT_TRY_STATUS(shared.verify(blob.digest));
   for (auto& [blob, shared] : fetched) {
     COMT_TRY_STATUS(destination.adopt_blob(blob, std::move(shared)));

@@ -3,8 +3,11 @@
 // image (manifest, config, layers) from a local layout into the registry
 // store; pull transfers it back out. A transfer hands over the immutable
 // blob buffer (oci::Layout::share_blob/adopt_blob) instead of copying it,
-// and the receiving side SHA-256-checks every blob it adopts against its
-// descriptor; a pull checks them all before it adopts any. Blobs are
+// and the receiving side checks every blob it adopts against its
+// descriptor; a pull checks them all before it adopts any. A check hashes
+// only bytes no one has proven yet: a buffer carries the proof of the hash
+// its first check ran (docs/PERFORMANCE.md §11), so a pull of a buffer the
+// hub proved when the push brought it in hashes nothing. Blobs are
 // content-addressed, so repeated pushes of shared base layers deduplicate.
 // With chunk dedup enabled, the same push also lands new blobs as chunks,
 // and a pull given a local chunk cache fetches only the chunks that cache
@@ -135,8 +138,9 @@ class Registry {
   /// `destination` lacks is the hub's buffer, or, when
   /// `options.local_chunks` is given and the chunk store holds the blob,
   /// its bytes reassembled from chunks. Every such blob is checked against
-  /// its digest before any is adopted: a damaged hub blob or chunk fails the
-  /// pull with Errc::corrupt naming the blob's digest and leaves
+  /// its digest before any is adopted (a hub buffer by its proof, reassembled
+  /// bytes by the reassembly's own check): a damaged hub blob or chunk fails
+  /// the pull with Errc::corrupt naming the blob's digest and leaves
   /// `destination` unchanged. Passing `options.local_chunks` without chunk
   /// dedup is Errc::unsupported.
   Status pull(std::string_view name, std::string_view tag, oci::Layout& destination,

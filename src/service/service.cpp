@@ -132,10 +132,8 @@ struct RebuildService::Job {
   std::string key;     ///< manifest digest + system — the coalescing key
   std::string tenant;  ///< SubmitRequest::tenant, fixed at submission
   std::vector<Ticket> tickets;
-  JobState state = JobState::queued;
-  Status result;
-  std::string output;
-  JobTrace trace;
+  /// What the tickets report: an element of outcomes_, which outlives the job.
+  JobOutcome* outcome = nullptr;
   obs::Stopwatch enqueued;  ///< running since admission; read once at pickup
   obs::Span span;           ///< "service.job", ends when the job finalizes
   std::pair<int, std::uint64_t> queue_key;  ///< position while queued
@@ -303,7 +301,6 @@ Result<Ticket> RebuildService::submit(const SubmitRequest& request) {
   }
   SystemState& sys = *sys_it->second;
 
-  Ticket ticket = next_ticket_++;
   counter("service.submitted").add();
   tenant_counter(request.tenant, "submitted").add();
 
@@ -314,8 +311,9 @@ Result<Ticket> RebuildService::submit(const SubmitRequest& request) {
     auto job = std::make_shared<Job>();
     job->request = request;
     job->tenant = request.tenant;
+    job->outcome = &outcomes_.emplace_back();
+    const Ticket ticket = issue_ticket_locked(job->outcome, /*coalesced=*/false);
     job->tickets = {ticket};
-    tickets_[ticket] = TicketRecord{job, /*coalesced=*/false};
     counter("service.throttled").add();
     tenant_counter(request.tenant, "throttled").add();
     finalize_locked(*job, JobState::throttled,
@@ -329,8 +327,8 @@ Result<Ticket> RebuildService::submit(const SubmitRequest& request) {
   // serves this ticket too.
   std::string key = digest.value + "|" + request.system;
   if (auto active = active_.find(key); active != active_.end()) {
+    const Ticket ticket = issue_ticket_locked(active->second->outcome, /*coalesced=*/true);
     active->second->tickets.push_back(ticket);
-    tickets_[ticket] = TicketRecord{active->second, /*coalesced=*/true};
     counter("service.coalesced").add();
     return ticket;
   }
@@ -339,13 +337,14 @@ Result<Ticket> RebuildService::submit(const SubmitRequest& request) {
   job->request = request;
   job->key = key;
   job->tenant = request.tenant;
+  job->outcome = &outcomes_.emplace_back();
+  const Ticket ticket = issue_ticket_locked(job->outcome, /*coalesced=*/false);
   job->tickets = {ticket};
   job->span = obs::maybe_span(options_.tracer, "service.job", obs::kNoSpan, "service");
   job->span.annotate("image", request.name + ":" + request.tag);
   job->span.annotate("system", request.system);
   if (!job->tenant.empty()) job->span.annotate("tenant", job->tenant);
   if (!options_.replica_id.empty()) job->span.annotate("replica", options_.replica_id);
-  tickets_[ticket] = TicketRecord{job, /*coalesced=*/false};
 
   // Bounded admission with priority-aware load shedding: a full queue sheds
   // the newest lowest-priority queued job when the arrival outranks it,
@@ -428,25 +427,26 @@ void RebuildService::run_next(SystemState& sys) {
     // has nothing to do.
     job = pick_job_locked(sys);
     if (job == nullptr) return;
-    job->trace.queue_ms = job->enqueued.elapsed_ms();
+    JobTrace& queued = job->outcome->trace;
+    queued.queue_ms = job->enqueued.elapsed_ms();
     metrics_
         ->histogram("service.tenant." + tenant_display(job->tenant) + ".queue_wait_ms")
-        .observe(job->trace.queue_ms);
-    sys.wait_window_ms += job->trace.queue_ms;
+        .observe(queued.queue_ms);
+    sys.wait_window_ms += queued.queue_ms;
     ++sys.wait_window_jobs;
-    if (job->request.deadline_ms > 0 && job->trace.queue_ms > job->request.deadline_ms) {
+    if (job->request.deadline_ms > 0 && queued.queue_ms > job->request.deadline_ms) {
       counter("service.expired").add();
       finalize_locked(*job, JobState::expired,
                       make_error(Errc::failed, "service: queue-wait deadline exceeded"));
       return;
     }
-    job->state = JobState::running;
+    job->outcome->state = JobState::running;
     ++running_count_;
-    // Work on a private copy of the trace: status() snapshots job->trace
-    // under the lock while this worker runs. The ticket seeding the backoff
-    // jitter is captured here too — the tickets vector can grow concurrently
-    // as requests coalesce onto this job.
-    trace = job->trace;
+    // Work on a private copy of the trace: status() snapshots the outcome's
+    // trace under the lock while this worker runs. The ticket seeding the
+    // backoff jitter is captured here too — the tickets vector can grow
+    // concurrently as requests coalesce onto this job.
+    trace = queued;
     seed = job->tickets.front();
     job_span = job->span.id();
     admitted = job->enqueued;  // the deadline clock, shared with the retry loop
@@ -502,8 +502,8 @@ void RebuildService::run_next(SystemState& sys) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     --running_count_;
-    job->trace = std::move(trace);
-    job->output = std::move(output);
+    job->outcome->trace = std::move(trace);
+    if (!output.empty()) job->outcome->output = &*outputs_.insert(std::move(output)).first;
     if (result.ok()) {
       counter("service.succeeded").add();
       finalize_locked(*job, JobState::succeeded, Status::success());
@@ -512,7 +512,7 @@ void RebuildService::run_next(SystemState& sys) {
       finalize_locked(*job, JobState::expired, std::move(result));
     } else {
       counter("service.failed").add();
-      if (job->trace.crashed) counter("service.crashed").add();
+      if (job->outcome->trace.crashed) counter("service.crashed").add();
       finalize_locked(*job, JobState::failed, std::move(result));
     }
   }
@@ -689,57 +689,61 @@ Result<RecoveryReport> RebuildService::recover() {
 }
 
 void RebuildService::finalize_locked(Job& job, JobState state, Status result) {
-  job.state = state;
-  job.result = std::move(result);
+  JobOutcome& outcome = *job.outcome;
+  outcome.state = state;
+  if (!result.ok()) outcome.error = std::make_unique<const Error>(result.error());
   // Throttled jobs never entered active_ — their key may belong to a live
   // job other tickets coalesced onto, so only erase an entry this job owns.
   if (auto it = active_.find(job.key); it != active_.end() && it->second.get() == &job) {
     active_.erase(it);
   }
-  counter("service.retries").add(job.trace.backoff_ms.size());
-  counter("service.cache_hits").add(job.trace.cache_hits);
-  counter("service.cache_misses").add(job.trace.cache_misses);
-  metrics_->gauge("service.queue_ms").add(job.trace.queue_ms);
-  metrics_->gauge("service.pull_ms").add(job.trace.pull_ms);
-  metrics_->gauge("service.rebuild_ms").add(job.trace.rebuild_ms);
-  metrics_->gauge("service.push_ms").add(job.trace.push_ms);
+  const JobTrace& trace = outcome.trace;
+  counter("service.retries").add(trace.backoff_ms.size());
+  counter("service.cache_hits").add(trace.cache_hits);
+  counter("service.cache_misses").add(trace.cache_misses);
+  metrics_->gauge("service.queue_ms").add(trace.queue_ms);
+  metrics_->gauge("service.pull_ms").add(trace.pull_ms);
+  metrics_->gauge("service.rebuild_ms").add(trace.rebuild_ms);
+  metrics_->gauge("service.push_ms").add(trace.push_ms);
   job.span.annotate("state", to_string(state));
   job.span.end();
   done_cv_.notify_all();
 }
 
-Result<TicketStatus> RebuildService::status(Ticket ticket) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = tickets_.find(ticket);
-  if (it == tickets_.end()) {
+Ticket RebuildService::issue_ticket_locked(const JobOutcome* outcome, bool coalesced) {
+  tickets_.push_back(TicketRecord{outcome, coalesced});
+  return tickets_.size();
+}
+
+Result<RebuildService::TicketRecord> RebuildService::ticket_locked(Ticket ticket) const {
+  if (ticket == 0 || ticket > tickets_.size()) {
     return make_error(Errc::not_found, "service: unknown ticket " + std::to_string(ticket));
   }
-  const Job& job = *it->second.job;
+  return tickets_[ticket - 1];
+}
+
+Result<TicketStatus> RebuildService::status_locked(Ticket ticket) const {
+  COMT_TRY(TicketRecord record, ticket_locked(ticket));
+  const JobOutcome& outcome = *record.outcome;
   TicketStatus out;
-  out.state = job.state;
-  out.result = job.result;
-  out.output = job.output;
-  out.trace = job.trace;
-  out.trace.coalesced = it->second.coalesced;
+  out.state = outcome.state;
+  if (outcome.error != nullptr) out.result = *outcome.error;
+  if (outcome.output != nullptr) out.output = *outcome.output;
+  out.trace = outcome.trace;
+  out.trace.coalesced = record.coalesced;
   return out;
+}
+
+Result<TicketStatus> RebuildService::status(Ticket ticket) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return status_locked(ticket);
 }
 
 Result<TicketStatus> RebuildService::wait(Ticket ticket) const {
   std::unique_lock<std::mutex> lock(mutex_);
-  auto it = tickets_.find(ticket);
-  if (it == tickets_.end()) {
-    return make_error(Errc::not_found, "service: unknown ticket " + std::to_string(ticket));
-  }
-  std::shared_ptr<Job> job = it->second.job;
-  bool coalesced = it->second.coalesced;
-  done_cv_.wait(lock, [&job] { return is_terminal(job->state); });
-  TicketStatus out;
-  out.state = job->state;
-  out.result = job->result;
-  out.output = job->output;
-  out.trace = job->trace;
-  out.trace.coalesced = coalesced;
-  return out;
+  COMT_TRY(TicketRecord record, ticket_locked(ticket));
+  done_cv_.wait(lock, [&record] { return is_terminal(record.outcome->state); });
+  return status_locked(ticket);
 }
 
 void RebuildService::pause() {

@@ -47,6 +47,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -151,12 +152,12 @@ struct JobTrace {
   double pull_ms = 0;     ///< registry pulls, summed over attempts
   double rebuild_ms = 0;  ///< comtainer_rebuild, summed over attempts
   double push_ms = 0;     ///< result pushes, summed over attempts
-  int attempts = 0;       ///< executions of pull→rebuild→push (retries + 1)
   /// Backoff delay before each retry; monotonically non-decreasing.
   std::vector<double> backoff_ms;
   std::size_t compile_jobs = 0;  ///< scheduler jobs, summed over attempts
   std::size_t cache_hits = 0;    ///< compile-cache replays (shared cache)
   std::size_t cache_misses = 0;
+  int attempts = 0;        ///< executions of pull→rebuild→push (retries + 1)
   bool coalesced = false;  ///< this ticket attached to another's in-flight job
   bool crashed = false;    ///< the job died at an injected crash site
   bool fleet_reuse = false;   ///< served from another replica's published result
@@ -387,6 +388,9 @@ class RebuildService {
 
   /// Blocks until the ticket is terminal and returns its final status.
   Result<TicketStatus> wait(Ticket ticket) const;
+  // Every ticket ever issued keeps answering both. A finished ticket keeps
+  // only its share of the job's outcome (state, result, output, trace), at
+  // most 0.3 KiB of heap, which `bench/service_throughput --smoke` gates.
 
   /// Holds job starts (admission continues) until resume() — lets tests and
   /// benchmarks build a known queue state deterministically.
@@ -415,8 +419,21 @@ class RebuildService {
   struct TenantQueue;
   struct SystemState;
   struct TenantState;
+  /// What status() reports for a job's tickets, all of which point at it.
+  /// Written under mutex_ while the job lives; immutable once the job is
+  /// terminal, when the job itself (request, coalescing key, span, ticket
+  /// list, …) is released and this is all a finished ticket keeps. Kept
+  /// small on purpose: the failure detail only when there is one, and the
+  /// output as one of outputs_, since re-adaptations publish the same
+  /// "name:tag" again and again.
+  struct JobOutcome {
+    JobTrace trace;
+    const std::string* output = nullptr;  ///< an element of outputs_, once pushed
+    std::unique_ptr<const Error> error;   ///< the result, when it is a failure
+    JobState state = JobState::queued;
+  };
   struct TicketRecord {
-    std::shared_ptr<Job> job;
+    const JobOutcome* outcome = nullptr;  ///< an element of outcomes_
     bool coalesced = false;
   };
 
@@ -437,6 +454,11 @@ class RebuildService {
   Status attempt_once(const TargetSystem& target, const SubmitRequest& request,
                       obs::SpanId attempt_span, JobTrace& trace, std::string& output);
   void finalize_locked(Job& job, JobState state, Status result);
+  /// Issues the next ticket, pointing at `outcome`.
+  Ticket issue_ticket_locked(const JobOutcome* outcome, bool coalesced);
+  /// The record of `ticket`; Errc::not_found for a ticket never issued.
+  Result<TicketRecord> ticket_locked(Ticket ticket) const;
+  Result<TicketStatus> status_locked(Ticket ticket) const;
   void autoscale_loop();
   void autoscale_tick();
   obs::Counter& counter(std::string_view name) { return metrics_->counter(name); }
@@ -453,10 +475,15 @@ class RebuildService {
   mutable std::condition_variable done_cv_;  ///< signalled on job completion
   std::condition_variable start_cv_;         ///< pause()/resume()/drain() gate
   std::map<std::string, std::unique_ptr<SystemState>> systems_;
-  std::map<Ticket, TicketRecord> tickets_;
+  /// Every ticket ever issued, ticket t at index t - 1 (tickets count up
+  /// from 1 and are never reused), and the outcome of every job they belong
+  /// to. A deque never moves its elements, so the records' pointers hold.
+  std::deque<TicketRecord> tickets_;
+  std::deque<JobOutcome> outcomes_;
+  /// Every distinct output a job published, kept once for all its tickets.
+  std::set<std::string, std::less<>> outputs_;
   std::map<std::string, std::shared_ptr<Job>> active_;  ///< coalescing index
   std::map<std::string, std::unique_ptr<TenantState>> tenants_;  ///< quota buckets
-  std::uint64_t next_ticket_ = 1;
   std::uint64_t next_seq_ = 0;
   std::size_t queued_count_ = 0;
   std::size_t running_count_ = 0;

@@ -111,7 +111,7 @@ Result<DeltaReport> pull_delta(const ChunkStore& source, std::string_view blob_d
 
   // End-to-end proof before anything is trusted: the reassembled bytes must
   // hash to the digest we asked for.
-  if ("sha256:" + Sha256::hex_digest(blob) != manifest.blob_digest ||
+  if ("sha256:" + Sha256::hex_digest(blob) != blob_digest ||
       blob.size() != manifest.total_size) {
     return make_error(Errc::corrupt,
                       "delta pull: reassembled blob does not match " +

@@ -61,7 +61,8 @@ Result<DeltaReport> push_delta(const std::string& blob,
 /// Pulls `blob_digest` from `source` into `local`, fetching only the chunks
 /// `local` is missing, reassembling, and verifying the whole-blob digest.
 /// On success the blob is fully materialized in `local` (chunks + manifest)
-/// and, when `blob_out` is non-null, its bytes are returned there. Emits a
+/// and, when `blob_out` is non-null, its bytes, proven to hash to
+/// `blob_digest`, are returned there. Emits a
 /// "transfer.pull" span under `parent` on the source's tracer.
 Result<DeltaReport> pull_delta(const ChunkStore& source, std::string_view blob_digest,
                                ChunkStore& local, std::string* blob_out = nullptr,

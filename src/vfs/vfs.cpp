@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "support/sha256.hpp"
 #include "support/strings.hpp"
 
 namespace comt::vfs {
@@ -24,6 +25,35 @@ std::string whiteout_path(std::string_view deleted) {
 }
 
 }  // namespace
+
+Node::DigestMemo& Node::DigestMemo::operator=(const DigestMemo&) {
+  state_.store(kEmpty, std::memory_order_relaxed);
+  return *this;
+}
+
+std::string Node::DigestMemo::get(std::string_view content) const {
+  int state = state_.load(std::memory_order_acquire);
+  while (state != kReady) {
+    if (state == kEmpty) {
+      // The thread that claims the empty memo hashes; the release store
+      // publishes the bytes to every thread that then reads kReady.
+      if (state_.compare_exchange_weak(state, kHashing, std::memory_order_acquire)) {
+        Sha256 hasher;
+        hasher.update(content);
+        bytes_ = hasher.finish();
+        state_.store(kReady, std::memory_order_release);
+        state_.notify_all();
+        break;
+      }
+      continue;  // the failed exchange reloaded `state`
+    }
+    state_.wait(kHashing, std::memory_order_acquire);
+    state = state_.load(std::memory_order_acquire);
+  }
+  return to_hex(bytes_.data(), bytes_.size());
+}
+
+std::string Node::digest() const { return digest_.get(content); }
 
 Filesystem::NodeRef Filesystem::make_node(NodeType type, std::string content,
                                           std::uint32_t mode) {
@@ -76,14 +106,24 @@ Result<std::string> Filesystem::resolve(std::string_view path) const {
   return make_error(Errc::corrupt, "symlink loop resolving " + std::string(path));
 }
 
-Result<std::string> Filesystem::read_file(std::string_view path) const {
+Result<const Node*> Filesystem::regular_file(std::string_view path) const {
   COMT_TRY(std::string real, resolve(path));
   const Node* node = lookup(real);
   if (node == nullptr) return make_error(Errc::not_found, "no such file: " + real);
   if (node->type != NodeType::regular) {
     return make_error(Errc::invalid_argument, "not a regular file: " + real);
   }
+  return node;
+}
+
+Result<std::string> Filesystem::read_file(std::string_view path) const {
+  COMT_TRY(const Node* node, regular_file(path));
   return node->content;
+}
+
+Result<std::string> Filesystem::digest(std::string_view path) const {
+  COMT_TRY(const Node* node, regular_file(path));
+  return node->digest();
 }
 
 Result<std::vector<std::string>> Filesystem::list_directory(std::string_view path) const {

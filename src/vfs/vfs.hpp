@@ -16,6 +16,8 @@
 // state.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -38,7 +40,35 @@ struct Node {
   std::string content;      ///< regular: file bytes; symlink: link target
   std::uint32_t mode = 0644;  ///< permission bits (0755 default for dirs)
   bool executable() const { return (mode & 0111) != 0; }
-  bool operator==(const Node&) const = default;
+
+  /// Lowercase-hex SHA-256 of `content`, computed at most once and kept with
+  /// the node, so every Filesystem sharing the node shares it. Safe from
+  /// several threads at once: the first caller hashes, the others wait for
+  /// its result. Call it on nodes whose content no longer changes — every
+  /// node a Filesystem holds.
+  std::string digest() const;
+
+  /// Type, content and mode; the kept digest does not count.
+  bool operator==(const Node& other) const {
+    return type == other.type && content == other.content && mode == other.mode;
+  }
+
+ private:
+  /// Node::digest()'s memo. A copy of a node may still change its content,
+  /// so it starts without one.
+  class DigestMemo {
+   public:
+    DigestMemo() = default;
+    DigestMemo(const DigestMemo&) {}
+    DigestMemo& operator=(const DigestMemo&);
+    std::string get(std::string_view content) const;
+
+   private:
+    enum : int { kEmpty, kHashing, kReady };
+    mutable std::atomic<int> state_{kEmpty};
+    mutable std::array<std::uint8_t, 32> bytes_{};
+  };
+  DigestMemo digest_;
 };
 
 /// OCI whiteout filename prefix ("deleted in this layer").
@@ -71,6 +101,11 @@ class Filesystem {
 
   /// Reads a regular file, following symlinks.
   Result<std::string> read_file(std::string_view path) const;
+
+  /// Lowercase-hex SHA-256 of the regular file at `path`, following
+  /// symlinks, with read_file's errors: the node's kept Node::digest(), so
+  /// a file is hashed once however many copies of this tree ask.
+  Result<std::string> digest(std::string_view path) const;
 
   /// Immediate children names of a directory, sorted.
   Result<std::vector<std::string>> list_directory(std::string_view path) const;
@@ -122,6 +157,8 @@ class Filesystem {
   friend Status apply_layer(Filesystem& base, const Filesystem& layer);
 
   static NodeRef make_node(NodeType type, std::string content, std::uint32_t mode);
+  /// The regular file at `path`, following symlinks.
+  Result<const Node*> regular_file(std::string_view path) const;
   Status insert_parents(std::string_view path);
 
   // Key: normalized absolute path. Values are shared with copies of this

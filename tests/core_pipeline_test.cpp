@@ -5,7 +5,9 @@
 #include "core/backend.hpp"
 #include "core/cache.hpp"
 #include "core/frontend.hpp"
+#include "support/sha256.hpp"
 #include "sysmodel/sysmodel.hpp"
+#include "tar/tar.hpp"
 #include "workloads/harness.hpp"
 
 namespace comt::core {
@@ -79,7 +81,7 @@ TEST_F(PipelineFixture, CacheBundleRoundTrips) {
   for (const GraphNode& node : graph.nodes()) {
     if (node.is_leaf() && !node.content_digest.empty() &&
         node.path.find("/usr/lib/") == std::string::npos) {
-      EXPECT_EQ(bundle.value().sources.count(node.content_digest), 1u) << node.path;
+      EXPECT_TRUE(bundle.value().sources.is_regular("/" + node.content_digest)) << node.path;
     }
   }
 }
@@ -91,9 +93,10 @@ TEST_F(PipelineFixture, CacheExcludesPackageOwnedInputs) {
   ASSERT_TRUE(bundle.ok());
   // System libraries read at link time must NOT be shipped in the cache —
   // the target system substitutes its own (that is the whole point).
-  for (const auto& [digest, content] : bundle.value().sources) {
-    EXPECT_FALSE(toolchain::is_image_blob(content)) << "library blob leaked into cache";
-  }
+  bundle.value().sources.walk([](const std::string&, const vfs::Node& source) {
+    EXPECT_FALSE(toolchain::is_image_blob(source.content)) << "library blob leaked into cache";
+    return true;
+  });
 }
 
 TEST_F(PipelineFixture, ImageModelClassifiesAllOrigins) {
@@ -238,6 +241,145 @@ TEST_F(PipelineFixture, RedirectOnlyFlowReplacesPackagesWithoutRebuild) {
   auto db = pkg::Database::load(rootfs.value());
   ASSERT_TRUE(db.ok());
   EXPECT_EQ(db.value().find("libm")->variant, pkg::Variant::optimized);
+}
+
+// ---- the kept cache bundle ------------------------------------------------------
+
+/// cache_bundle() must answer exactly what load_cache(flatten(image)) does.
+void expect_same_bundle(const Result<std::shared_ptr<const CacheBundle>>& kept,
+                        const Result<CacheBundle>& reference, const std::string& label) {
+  ASSERT_EQ(kept.ok(), reference.ok()) << label;
+  if (!kept.ok()) {
+    EXPECT_EQ(kept.error().code, reference.error().code) << label;
+    return;
+  }
+  const CacheBundle& bundle = *kept.value();
+  EXPECT_EQ(json::serialize(bundle.models.graph.to_json()),
+            json::serialize(reference.value().models.graph.to_json()))
+      << label;
+  EXPECT_EQ(json::serialize(bundle.models.image.to_json()),
+            json::serialize(reference.value().models.image.to_json()))
+      << label;
+  EXPECT_TRUE(bundle.sources == reference.value().sources) << label;
+}
+
+Result<CacheBundle> load_cache_of_flatten(const oci::Layout& layout, const oci::Image& image) {
+  COMT_TRY(vfs::Filesystem rootfs, layout.flatten(image));
+  return load_cache(rootfs);
+}
+
+RebuildOptions adapted_rebuild(const workloads::Evaluation& world,
+                               const std::vector<std::unique_ptr<SystemAdapter>>& owned) {
+  RebuildOptions options;
+  options.system = &world.system();
+  options.system_repo = &workloads::system_repo(world.system());
+  options.sysenv_tag = workloads::sysenv_tag(world.system());
+  for (const auto& adapter : owned) options.adapters.push_back(adapter.get());
+  return options;
+}
+
+TEST(CacheBundleTest, MatchesLoadCacheOfTheFlattenWhateverTheLayersAboveOrBelowDo) {
+  workloads::Evaluation world(sysmodel::SystemProfile::x86_cluster());
+  auto prepared = world.prepare(*workloads::find_app("hpccg"));
+  ASSERT_TRUE(prepared.ok()) << prepared.error().to_string();
+  oci::Layout& layout = world.layout();
+  auto extended = layout.find_image(prepared.value().extended_tag);
+  auto dist = layout.find_image(prepared.value().dist_tag);
+  ASSERT_TRUE(extended.ok() && dist.ok());
+  const std::string dir(kCacheDir);
+
+  // The plain extended image: only its cache layer touches kCacheDir.
+  auto plain = cache_bundle(layout, extended.value());
+  expect_same_bundle(plain, load_cache_of_flatten(layout, extended.value()), "plain");
+  ASSERT_TRUE(plain.ok());
+
+  // A lower layer adds a source under kCacheDir/sources.
+  vfs::Filesystem extra;
+  const std::string extra_source = "int extra;\n";
+  ASSERT_TRUE(
+      extra.write_file(dir + "/sources/" + Sha256::hex_digest(extra_source), extra_source).ok());
+  auto with_extra = layout.append_layer(dist.value(), extra, "extra", "lower:1");
+  ASSERT_TRUE(with_extra.ok());
+  auto cache_tree = layout.layer_tree(extended.value().manifest.layers.back());
+  ASSERT_TRUE(cache_tree.ok());
+  auto lower = layout.append_layer(with_extra.value(), *cache_tree.value(), "cache", "lower:2");
+  ASSERT_TRUE(lower.ok());
+
+  // An upper layer replaces build_graph.json with another valid graph.
+  BuildGraph graph = plain.value()->models.graph;
+  graph.nodes().front().cwd = "/elsewhere";
+  vfs::Filesystem new_graph;
+  ASSERT_TRUE(
+      new_graph.write_file(dir + "/build_graph.json", json::serialize(graph.to_json())).ok());
+  auto upper = layout.append_layer(extended.value(), new_graph, "graph", "upper");
+  ASSERT_TRUE(upper.ok());
+
+  // A whiteout of kCacheDir, and an opaque marker on its parent.
+  vfs::Filesystem whiteout;
+  ASSERT_TRUE(whiteout.write_file("/.coMtainer/.wh.cache", "").ok());
+  auto hidden = layout.append_layer(extended.value(), whiteout, "whiteout", "whiteout");
+  ASSERT_TRUE(hidden.ok());
+  vfs::Filesystem opaque;
+  ASSERT_TRUE(opaque.write_file(std::string("/.coMtainer/") + std::string(vfs::kOpaqueMarker), "")
+                  .ok());
+  auto emptied = layout.append_layer(extended.value(), opaque, "opaque", "opaque");
+  ASSERT_TRUE(emptied.ok());
+
+  for (const auto& [label, image] :
+       {std::pair<std::string, oci::Image>{"lower source", lower.value()},
+        {"upper graph", upper.value()},
+        {"whiteout", hidden.value()},
+        {"opaque parent", emptied.value()}}) {
+    const Result<CacheBundle> reference = load_cache_of_flatten(layout, image);
+    expect_same_bundle(cache_bundle(layout, image), reference, label);
+    // Each image's cache differs from the cache layer's own.
+    if (reference.ok()) {
+      EXPECT_FALSE(reference.value().sources == plain.value()->sources &&
+                   json::serialize(reference.value().models.graph.to_json()) ==
+                       json::serialize(plain.value()->models.graph.to_json()))
+          << label;
+    }
+  }
+  EXPECT_FALSE(load_cache_of_flatten(layout, hidden.value()).ok());
+  EXPECT_FALSE(load_cache_of_flatten(layout, emptied.value()).ok());
+}
+
+TEST(CacheBundleTest, RebuildAfterTheCacheLayerRotsServesTheRottenBytesBundle) {
+  workloads::Evaluation world(sysmodel::SystemProfile::x86_cluster());
+  auto prepared = world.prepare(*workloads::find_app("hpccg"));
+  ASSERT_TRUE(prepared.ok()) << prepared.error().to_string();
+  oci::Layout& layout = world.layout();
+  const std::string tag = prepared.value().extended_tag;
+  auto extended = layout.find_image(tag);
+  ASSERT_TRUE(extended.ok());
+  const auto owned = adapted_scheme();
+  const RebuildOptions options = adapted_rebuild(world, owned);
+  // A first rebuild keeps the bundle with the cache layer's buffer.
+  ASSERT_TRUE(comtainer_rebuild(layout, tag, options).ok());
+  auto before = cache_bundle(layout, extended.value());
+  ASSERT_TRUE(before.ok());
+
+  // The cache layer rots into another valid tarball: the cache minus one
+  // source the graph needs.
+  const oci::Descriptor cache_layer = extended.value().manifest.layers.back();
+  auto tree = layout.layer_tree(cache_layer);
+  ASSERT_TRUE(tree.ok());
+  vfs::Filesystem rotten = *tree.value();
+  auto sources = rotten.list_directory(std::string(kCacheDir) + "/sources");
+  ASSERT_TRUE(sources.ok() && !sources.value().empty());
+  ASSERT_TRUE(
+      rotten.remove(std::string(kCacheDir) + "/sources/" + sources.value().front()).ok());
+  layout.set_blob_bytes(cache_layer.digest, tar::pack(rotten));
+
+  auto after = cache_bundle(layout, extended.value());
+  expect_same_bundle(after, load_cache_of_flatten(layout, extended.value()), "rotten");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value()->sources.node_count() + 1, before.value()->sources.node_count());
+  auto rebuilt = comtainer_rebuild(layout, tag, options);
+  ASSERT_FALSE(rebuilt.ok());
+  EXPECT_EQ(rebuilt.error().code, Errc::corrupt);
+  EXPECT_NE(rebuilt.error().message.find("cache is missing input"), std::string::npos)
+      << rebuilt.error().message;
 }
 
 TEST(BackendErrorsTest, RebuildRequiresExtendedImage) {

@@ -96,13 +96,14 @@ TEST(ObfuscatedCacheTest, RebuildWorksFromObfuscatedSources) {
   auto bundle = core::load_cache(extended_rootfs.value());
   ASSERT_TRUE(bundle.ok()) << bundle.error().to_string();
   bool saw_source = false;
-  for (const auto& [digest, content] : bundle.value().sources) {
-    if (content.find("@comt-kernel") != std::string::npos) {
+  bundle.value().sources.walk([&](const std::string&, const vfs::Node& source) {
+    if (source.content.find("@comt-kernel") != std::string::npos) {
       saw_source = true;
-      EXPECT_EQ(content.find("static const int k_"), std::string::npos)
+      EXPECT_EQ(source.content.find("static const int k_"), std::string::npos)
           << "filler identifiers leaked";
     }
-  }
+    return true;
+  });
   EXPECT_TRUE(saw_source);
 
   // ...and the system-side rebuild still works end-to-end.

@@ -459,6 +459,58 @@ TEST(LayoutTest, AdoptedBlobsShareTheirTreeAndKeepTheirOwnBytes) {
   EXPECT_TRUE(source.fsck().ok());
 }
 
+TEST(LayoutTest, AProofDoesNotCrossDigests) {
+  Layout source;
+  const Descriptor proven = source.put_blob("proven bytes", "text/plain");
+  const Descriptor other = Layout().put_blob("other bytes", "text/plain");
+  auto shared = source.share_blob(proven.digest);
+  ASSERT_TRUE(shared.ok());
+
+  // put_blob proved the buffer against its own digest; adopted under another
+  // digest it is hashed, and refused.
+  Layout target;
+  Status adopted = target.adopt_blob(other, shared.value());
+  ASSERT_FALSE(adopted.ok());
+  EXPECT_EQ(adopted.error().code, Errc::corrupt);
+  EXPECT_NE(adopted.error().message.find(other.digest.value), std::string::npos);
+  EXPECT_FALSE(target.has_blob(other.digest));
+  ASSERT_TRUE(target.adopt_blob(proven, shared.value()).ok());
+
+  // A proof handed over with bytes (a chunk reassembly's) covers its digest
+  // only.
+  adopted = target.adopt_blob(other, SharedBlob("proven bytes", proven.digest));
+  ASSERT_FALSE(adopted.ok());
+  EXPECT_EQ(adopted.error().code, Errc::corrupt);
+  EXPECT_FALSE(target.has_blob(other.digest));
+  EXPECT_TRUE(target.fsck().ok());
+}
+
+TEST(LayoutTest, BytesThatRotUnderAProvenBufferAreHashedOnTheNextTransfer) {
+  Layout source;
+  auto image = two_layer_image(source);
+  ASSERT_TRUE(image.ok());
+  const Digest upper = image.value().manifest.layers.back().digest;
+  Layout first;
+  ASSERT_TRUE(adopt_image(source, image.value(), first).ok());
+
+  // Rot under the digest: the slot that carries the old buffer's proof stays
+  // kept, and only its binding to that buffer keeps the proof off these bytes.
+  std::string rotten = source.get_blob(upper).value();
+  rotten[rotten.size() / 2] ^= 0x01;
+  source.set_blob_bytes(upper, rotten);
+  Layout second;
+  Status adopted = adopt_image(source, image.value(), second);
+  ASSERT_FALSE(adopted.ok());
+  EXPECT_EQ(adopted.error().code, Errc::corrupt);
+  EXPECT_NE(adopted.error().message.find(upper.value), std::string::npos);
+  EXPECT_FALSE(second.has_blob(upper));
+
+  // The first adopter keeps, and passes on, the true bytes.
+  Layout third;
+  EXPECT_TRUE(adopt_image(first, image.value(), third).ok());
+  EXPECT_TRUE(third.fsck().ok());
+}
+
 // The paper's §4.5 file-system simulator: flattening multiple layers with
 // deletes/opaque markers, parameterized over layer counts.
 class FlattenDepth : public ::testing::TestWithParam<int> {};

@@ -159,6 +159,33 @@ TEST(RegistryTest, PushOfDamagedLocalBlobIsRefused) {
   }
 }
 
+TEST(RegistryTest, RepushOfAPulledBlobThatRottedIsRefused) {
+  oci::Layout local;
+  auto image = local.create_image(config(), {chunky_tree(5)}, "app:dev");
+  ASSERT_TRUE(image.ok());
+  const oci::Digest layer = image.value().manifest.layers.front().digest;
+  Registry hub;
+  ASSERT_TRUE(hub.push(local, "app:dev", "org/app", "1.0").ok());
+
+  // The pull adopts the hub's proven buffer; then the puller's copy rots.
+  oci::Layout puller;
+  ASSERT_TRUE(hub.pull("org/app", "1.0", puller, "pulled").ok());
+  std::string rotten = puller.get_blob(layer).value();
+  rotten[rotten.size() / 2] ^= 0x01;
+  puller.set_blob_bytes(layer, rotten);
+
+  Registry mirror;
+  Status pushed = mirror.push(puller, "pulled", "org/app", "1.0");
+  ASSERT_FALSE(pushed.ok());
+  EXPECT_EQ(pushed.error().code, Errc::corrupt);
+  EXPECT_NE(pushed.error().message.find(layer.value), std::string::npos);
+  EXPECT_FALSE(mirror.has("org/app", "1.0"));
+  // The hub's own buffer was never touched.
+  oci::Layout again;
+  ASSERT_TRUE(hub.pull("org/app", "1.0", again, "pulled").ok());
+  EXPECT_TRUE(again.fsck().ok());
+}
+
 /// Pushes `local`'s "app:dev" as "org/app:1.0" through a push that dies
 /// writing its second blob, the layer, and leaves it torn; a second push
 /// deduplicates onto the torn layer and publishes the image.

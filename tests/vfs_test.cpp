@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <thread>
+
+#include "support/sha256.hpp"
 #include "vfs/vfs.hpp"
 
 namespace comt::vfs {
@@ -157,6 +160,71 @@ TEST(VfsTest, TotalFileBytes) {
   EXPECT_EQ(fs.total_file_bytes(), 6u + 6u);  // "linux\n" + "#!bin\n"
 }
 
+// ---- content digests ---------------------------------------------------------
+
+TEST(VfsTest, DigestIsTheContentSha256WithReadFileSemantics) {
+  Filesystem fs = sample_tree();
+  EXPECT_EQ(fs.digest("/usr/bin/tool").value(), Sha256::hex_digest("#!bin\n"));
+  EXPECT_EQ(fs.digest("/usr/bin/alias").value(), Sha256::hex_digest("#!bin\n"));
+  EXPECT_EQ(fs.digest("/no/such").error().code, Errc::not_found);
+  EXPECT_EQ(fs.digest("/var/empty").error().code, Errc::invalid_argument);
+}
+
+TEST(VfsTest, DigestFollowsAWriteFileReplacement) {
+  Filesystem fs = sample_tree();
+  ASSERT_EQ(fs.digest("/etc/os-release").value(), Sha256::hex_digest("linux\n"));
+  ASSERT_TRUE(fs.write_file("/etc/os-release", "plan9\n").ok());
+  EXPECT_EQ(fs.digest("/etc/os-release").value(), Sha256::hex_digest("plan9\n"));
+}
+
+TEST(VfsTest, CopiesShareTheDigestMemoAndStayIsolated) {
+  Filesystem fs = sample_tree();
+  const Filesystem copy = fs;
+  // One node, so one memo: whichever tree asks first hashes for both.
+  ASSERT_EQ(copy.lookup("/etc/os-release"), fs.lookup("/etc/os-release"));
+  EXPECT_EQ(fs.digest("/etc/os-release").value(), Sha256::hex_digest("linux\n"));
+  EXPECT_EQ(copy.digest("/etc/os-release").value(), Sha256::hex_digest("linux\n"));
+  // A write binds a fresh node on one side only.
+  ASSERT_TRUE(fs.write_file("/etc/os-release", "plan9\n").ok());
+  EXPECT_EQ(fs.digest("/etc/os-release").value(), Sha256::hex_digest("plan9\n"));
+  EXPECT_EQ(copy.digest("/etc/os-release").value(), Sha256::hex_digest("linux\n"));
+  // A copied node value may take new content before it is published: it
+  // does not carry the memo of the content it was copied with.
+  Node value = *copy.lookup("/etc/os-release");
+  value.content = "edited\n";
+  EXPECT_EQ(value.digest(), Sha256::hex_digest("edited\n"));
+}
+
+TEST(VfsTest, NodeEqualityIgnoresTheDigestMemo) {
+  Filesystem hashed;
+  Filesystem plain;
+  ASSERT_TRUE(hashed.write_file("/f", "same").ok());
+  ASSERT_TRUE(plain.write_file("/f", "same").ok());
+  ASSERT_TRUE(hashed.digest("/f").ok());
+  EXPECT_TRUE(*hashed.lookup("/f") == *plain.lookup("/f"));
+  EXPECT_TRUE(hashed == plain);
+}
+
+TEST(VfsTest, ConcurrentDigestsOfOneSharedNodeAgree) {
+  Filesystem fs;
+  std::string content(1 << 20, '\0');
+  for (std::size_t i = 0; i < content.size(); ++i) content[i] = static_cast<char>(i * 131);
+  const std::string expected = Sha256::hex_digest(content);
+  ASSERT_TRUE(fs.write_file("/big", std::move(content)).ok());
+  std::vector<std::string> seen(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    // Each thread reads its own copy of the tree; all copies share the node.
+    threads.emplace_back([&fs, &seen, t] {
+      const Filesystem copy = fs;
+      seen[t] = copy.digest("/big").value();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const std::string& digest : seen) EXPECT_EQ(digest, expected);
+  EXPECT_EQ(fs.digest("/big").value(), expected);
+}
+
 // ---- diff / apply_layer ------------------------------------------------------
 
 TEST(LayerTest, DiffDetectsAddModifyDelete) {
@@ -235,6 +303,10 @@ Filesystem mutated_sample() {
   EXPECT_TRUE(fs.make_symlink("/etc", "/var").ok());  // dir -> symlink type change
   return fs;
 }
+
+// Without this, gtest prints GetParam() as raw bytes, pointers included, so
+// the listed test names would change with every build and every run.
+void PrintTo(const TreePair& pair, std::ostream* os) { *os << pair.name; }
 
 class DiffApplyRoundTrip : public ::testing::TestWithParam<TreePair> {};
 
