@@ -10,7 +10,7 @@
 //             duplicate submissions must coalesce, injected transient faults
 //             must recover via retry with zero failed tickets, a drain
 //             during load must leave every ticket in a terminal state, and a
-//             finished ticket must keep at most 0.3 KiB of heap (skipped
+//             finished ticket must keep at most 0.2 KiB of heap (skipped
 //             under a sanitizer, whose allocator malloc's accounting cannot
 //             see).
 //   --trace PATH   write the load run's Chrome trace JSON (service.job spans
@@ -101,7 +101,7 @@ constexpr bool kSanitizedAllocator = false;
 
 /// Ceiling on what a finished ticket may keep: its share of the job's
 /// outcome (state, result, output, trace), not the job.
-constexpr double kMaxTicketRecordBytes = 0.3 * 1024;
+constexpr double kMaxTicketRecordBytes = 0.2 * 1024;
 
 /// Heap bytes in use, over every malloc arena.
 std::size_t heap_in_use() {

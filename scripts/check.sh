@@ -49,7 +49,7 @@ echo "== bench smoke (tracing enabled) =="
 # nest under the root "rebuild" span — any violation is a non-zero exit.
 "$build_dir/bench/parallel_rebuild" --smoke --trace "$build_dir/rebuild_trace.json"
 test -s "$build_dir/rebuild_trace.json"
-# The service smoke also gates what a finished ticket keeps: at most 0.3 KiB
+# The service smoke also gates what a finished ticket keeps: at most 0.2 KiB
 # of heap per ticket over 5000 sequential tickets (sanitizer stages, whose
 # allocators malloc's accounting cannot see, print a SKIP notice instead).
 "$build_dir/bench/service_throughput" --smoke

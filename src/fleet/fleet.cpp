@@ -27,10 +27,9 @@ Fleet::Fleet(registry::Registry& hub, FleetOptions options)
     LeaseCoordinator::Options lease;
     lease.replica_id = replica_id;
     lease.ttl = options_.lease_ttl;
-    lease.poll = options_.lease_poll;
     lease.max_wait = options_.lease_max_wait;
     auto coordinator = std::make_unique<LeaseCoordinator>(store_, &hub_, lease);
-    coordinator->set_metrics(metrics_);
+    coordinator->set_observer(options_.tracer, metrics_);
 
     service::ServiceOptions service;
     service.queue_capacity = options_.queue_capacity;

@@ -67,7 +67,6 @@ struct FleetOptions {
   service::AutoscaleOptions autoscale;
   /// Lease protocol timing (see LeaseCoordinator::Options).
   std::chrono::milliseconds lease_ttl{2000};
-  std::chrono::milliseconds lease_poll{1};
   std::chrono::milliseconds lease_max_wait{30000};
   /// The shared substrate. A private MemStore when null. Benches hand in a
   /// RemoteStore to put the coordination traffic behind simulated latency.
@@ -106,7 +105,7 @@ struct FleetStats {
   std::uint64_t coordinator_errors = 0;
   std::uint64_t leases_acquired = 0;  ///< build grants — fleet-wide distinct builds
   std::uint64_t lease_steals = 0;     ///< takeovers from expired holders
-  std::uint64_t lease_waits = 0;      ///< acquires that had to poll
+  std::uint64_t lease_waits = 0;      ///< acquires that found a live holder and waited
   double lease_wait_ms = 0;           ///< summed wait time across acquires
   std::uint64_t cache_remote_hits = 0;  ///< compile cache hits via the shared store
   // Chunk-dedup transfer counters (zero unless FleetOptions::chunked_artifacts).

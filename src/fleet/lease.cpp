@@ -1,6 +1,5 @@
 #include "fleet/lease.hpp"
 
-#include <thread>
 #include <utility>
 
 #include "store/wire.hpp"
@@ -17,6 +16,18 @@ double elapsed_ms(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() -
                                                    since)
       .count();
+}
+
+/// The steady-clock instant of a lease deadline (lease_now_ms()'s clock),
+/// capped at `cap` before the conversion, so a garbage deadline cannot
+/// overflow it.
+std::chrono::steady_clock::time_point lease_instant(std::uint64_t deadline_ms,
+                                                    std::chrono::steady_clock::time_point cap) {
+  const auto cap_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(cap.time_since_epoch()).count();
+  if (cap_ms < 0 || deadline_ms >= static_cast<std::uint64_t>(cap_ms)) return cap;
+  return std::chrono::steady_clock::time_point(
+      std::chrono::milliseconds(static_cast<std::int64_t>(deadline_ms)));
 }
 
 }  // namespace
@@ -55,10 +66,10 @@ LeaseCoordinator::LeaseCoordinator(std::shared_ptr<store::KvStore> store,
                                    registry::Registry* hub, Options options)
     : store_(std::move(store)), hub_(hub), options_(std::move(options)) {
   if (options_.ttl.count() <= 0) options_.ttl = std::chrono::milliseconds(1);
-  if (options_.poll.count() <= 0) options_.poll = std::chrono::milliseconds(1);
 }
 
-void LeaseCoordinator::set_metrics(obs::MetricsRegistry* metrics) {
+void LeaseCoordinator::set_observer(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
+  tracer_ = tracer;
   if (metrics == nullptr) {
     acquired_ = steals_ = reused_ = waits_ = releases_ = nullptr;
     wait_ms_ = nullptr;
@@ -84,7 +95,7 @@ bool LeaseCoordinator::output_resolves(const std::string& output) const {
 }
 
 std::optional<LeaseCoordinator::Grant> LeaseCoordinator::reuse_after_claim(
-    const std::string& key, double wait_ms) {
+    const std::string& key) {
   auto done = store_->get(done_key(key));
   if (!done.ok() || !output_resolves(done.value())) return std::nullopt;
   // The previous holder finished between our marker check and our claim; we
@@ -93,98 +104,99 @@ std::optional<LeaseCoordinator::Grant> LeaseCoordinator::reuse_after_claim(
   note(reused_);
   Grant grant;
   grant.reuse = true;
-  grant.output = done.value();
-  grant.wait_ms = wait_ms;
+  grant.output = std::move(done.value());
   return grant;
 }
 
-Result<LeaseCoordinator::Grant> LeaseCoordinator::acquire(const std::string& key) {
+Result<LeaseCoordinator::Grant> LeaseCoordinator::acquire(const std::string& key,
+                                                          obs::SpanId parent) {
+  obs::Span span = obs::maybe_span(tracer_, "fleet.lease.acquire", parent, "fleet");
   const auto start = std::chrono::steady_clock::now();
+  const auto give_up = start + options_.max_wait;
+  // Every way out annotates the span; a grant also records its wait.
+  auto granted = [&](std::string_view kind, Grant grant) -> Result<Grant> {
+    grant.wait_ms = elapsed_ms(start);
+    if (wait_ms_ != nullptr) wait_ms_->add(grant.wait_ms);
+    span.annotate("grant", kind);
+    return grant;
+  };
+  auto refused = [&](std::string_view kind, Error error) -> Result<Grant> {
+    span.annotate("grant", kind);
+    return error;
+  };
   bool counted_wait = false;
   for (;;) {
     // 1. Global memo first: someone may have already built and published.
     auto done = store_->get(done_key(key));
-    if (done.ok()) {
-      if (output_resolves(done.value())) {
-        note(reused_);
-        if (wait_ms_ != nullptr) wait_ms_->add(elapsed_ms(start));
-        Grant grant;
-        grant.reuse = true;
-        grant.output = done.value();
-        grant.wait_ms = elapsed_ms(start);
-        return grant;
-      }
-      // Stale memo — the published image vanished from the hub: treat it as
-      // absent and fall through to the lease. Never erase it here: the
-      // holder may publish a fresh marker (often the same "name:tag")
-      // between this check and an erase, and erasing that one would send
-      // the next claimer into a duplicate build. The next successful build
-      // overwrites the stale marker.
+    if (done.ok() && output_resolves(done.value())) {
+      note(reused_);
+      Grant grant;
+      grant.reuse = true;
+      grant.output = std::move(done.value());
+      return granted("reuse", std::move(grant));
     }
+    // A stale memo (the published image vanished from the hub) counts as
+    // absent: fall through to the lease. Never erase it here: the holder may
+    // publish a fresh marker (often the same "name:tag") between this check
+    // and an erase, and erasing that one would send the next claimer into a
+    // duplicate build. The next successful build overwrites the stale marker.
 
     // 2. The lease. Corrupt (torn record) counts as absent: compare_and_put
     // arbitrates the overwrite.
     auto current = store_->get(lease_key(key));
     if (!current.ok() && current.error().code != Errc::not_found &&
         current.error().code != Errc::corrupt) {
-      return current.error();
+      return refused("error", current.error());
+    }
+    std::optional<LeaseRecord> record;
+    if (current.ok()) record = decode_lease(current.value());
+    const std::uint64_t now_ms = lease_now_ms();
+
+    if (!record.has_value() || now_ms >= record->deadline_ms) {
+      // No live holder. An absent key is claimed at epoch 1. A dead holder's
+      // record (expired TTL, or damaged beyond the store's own framing) is
+      // stolen by CAS on its exact stored bytes, bumping the epoch so a late
+      // release by the old holder cannot clobber the new reign.
+      const bool steal = current.ok();
+      std::optional<std::string> expected;
+      if (steal) expected = current.value();
+      LeaseRecord next{options_.replica_id, record.has_value() ? record->epoch + 1 : 1,
+                       now_ms + static_cast<std::uint64_t>(options_.ttl.count())};
+      auto won = store_->compare_and_put(lease_key(key), expected, encode_lease(next));
+      if (!won.ok()) return refused("error", won.error());
+      if (!won.value()) continue;  // lost the race; re-evaluate immediately
+      if (auto reuse = reuse_after_claim(key)) return granted("reuse", std::move(*reuse));
+      note(acquired_);
+      if (steal) note(steals_);
+      Grant grant;
+      grant.epoch = next.epoch;
+      grant.stolen = steal;
+      return granted(steal ? "steal" : "claim", std::move(grant));
     }
 
-    if (!current.ok()) {
-      LeaseRecord fresh{options_.replica_id, 1,
-                        lease_now_ms() + static_cast<std::uint64_t>(options_.ttl.count())};
-      COMT_TRY(bool won,
-               store_->compare_and_put(lease_key(key), std::nullopt, encode_lease(fresh)));
-      if (won) {
-        if (auto reuse = reuse_after_claim(key, elapsed_ms(start))) return *reuse;
-        note(acquired_);
-        if (wait_ms_ != nullptr) wait_ms_->add(elapsed_ms(start));
-        Grant grant;
-        grant.epoch = fresh.epoch;
-        grant.wait_ms = elapsed_ms(start);
-        return grant;
-      }
-      continue;  // lost the claim race; re-evaluate immediately
-    }
-
-    std::optional<LeaseRecord> record = decode_lease(current.value());
-    if (!record.has_value() || lease_now_ms() >= record->deadline_ms) {
-      // Dead holder (expired TTL) or a record damaged beyond the store's own
-      // framing: steal by CAS on the exact stored bytes, bumping the epoch so
-      // a late release by the old holder cannot clobber the new reign.
-      LeaseRecord next{options_.replica_id,
-                       record.has_value() ? record->epoch + 1 : 1,
-                       lease_now_ms() + static_cast<std::uint64_t>(options_.ttl.count())};
-      COMT_TRY(bool won, store_->compare_and_put(lease_key(key), current.value(),
-                                                 encode_lease(next)));
-      if (won) {
-        if (auto reuse = reuse_after_claim(key, elapsed_ms(start))) return *reuse;
-        note(acquired_);
-        note(steals_);
-        if (wait_ms_ != nullptr) wait_ms_->add(elapsed_ms(start));
-        Grant grant;
-        grant.epoch = next.epoch;
-        grant.stolen = true;
-        grant.wait_ms = elapsed_ms(start);
-        return grant;
-      }
-      continue;
-    }
-
-    // 3. A live holder is building. Wait out one poll tick.
+    // 3. A live holder is building. Watch its record until a write replaces
+    // it (the holder's release erases it, a thief's steal rewrites it), or
+    // until it expires or this acquire gives up.
     if (!counted_wait) {
       counted_wait = true;
       note(waits_);
     }
-    if (elapsed_ms(start) > static_cast<double>(options_.max_wait.count())) {
-      return make_error(Errc::failed, "fleet: lease wait timed out for key: " + key);
+    if (std::chrono::steady_clock::now() >= give_up) {
+      return refused("timeout",
+                     make_error(Errc::failed, "fleet: lease wait timed out for key: " + key));
     }
-    std::this_thread::sleep_for(options_.poll);
+    obs::Span wait = obs::maybe_span(tracer_, "fleet.lease.wait", span.id(), "fleet");
+    auto changed = store_->wait_change(lease_key(key), current.value(),
+                                       lease_instant(record->deadline_ms, give_up));
+    if (!changed.ok()) return refused("error", changed.error());
+    wait.annotate("woke", changed.value() ? "changed" : "deadline");
   }
 }
 
 void LeaseCoordinator::release(const std::string& key, Outcome outcome,
-                               const std::string& output, std::uint64_t epoch) {
+                               const std::string& output, std::uint64_t epoch,
+                               obs::SpanId parent) {
+  obs::Span span = obs::maybe_span(tracer_, "fleet.lease.release", parent, "fleet");
   if (outcome == Outcome::succeeded && !output.empty()) {
     // Marker before lease erase: a waiter that sees the lease vanish must
     // already be able to see the result.
@@ -200,6 +212,7 @@ void LeaseCoordinator::release(const std::string& key, Outcome outcome,
       return;
     }
   }
+  // The erase is the write that wakes this key's waiters.
   (void)store_->erase(lease_key(key));
   note(releases_);
 }

@@ -10,8 +10,9 @@
 //                      toolchain, no lease.
 //   fleet/lease/<K>  — the mutual exclusion record: {owner, epoch, deadline}.
 //                      Claimed with compare_and_put, so exactly one replica
-//                      wins; everyone else polls until the holder publishes
-//                      its done marker or the lease's TTL lapses.
+//                      wins; everyone else watches the record
+//                      (KvStore::wait_change) until a write replaces it or
+//                      the lease's TTL lapses.
 //
 // Failure/takeover state machine:
 //
@@ -21,20 +22,29 @@
 //        ├─────────────────────▶ holder ───────────▶ then erase lease
 //        │                        │   build fails: erase lease (no marker)
 //        │   lease held, alive    │   crash: lease left to rot
-//        └──▶ wait (poll) ◀───────┘
+//        └──▶ wait (watch) ◀──────┘
 //              │       deadline passed
 //              └─────────────────────▶ CAS steal (epoch+1) ──▶ holder
 //
 // The holder publishes the done marker BEFORE erasing its lease, and a
 // claimer re-checks the marker right after winning, so a waiter can never
 // slip between "marker not yet visible" and "lease gone" into a duplicate
-// build. A crashed holder (injected crash unwinding the worker) releases
-// nothing — its record sits in the store until the TTL lapses and a rival's
-// CAS bumps the epoch; the thief then resumes from the crashed holder's
-// write-ahead journal, the same durable path a restarted single service
-// uses. Records carry an fnv1a64 trailer; a torn record decodes as invalid
-// and is claimable like an absent one (compare_and_put treats stored-corrupt
-// as absent for the same reason).
+// build.
+//
+// A waiter blocks in wait_change on the record bytes it read, until the
+// record's deadline or max_wait. The holder's erase is the write that wakes
+// it: the waiter then finds the marker, or after a failed build claims. A
+// steal rewrites the record and re-arms the other waiters on the thief's.
+//
+// A crashed holder (injected crash unwinding the worker) releases nothing —
+// its record sits in the store until the TTL lapses, the waiters wake at the
+// deadline with no write needed, and a rival's CAS bumps the epoch; the
+// thief then resumes from the crashed holder's write-ahead journal, the
+// same durable path a restarted single service uses.
+//
+// Records carry an fnv1a64 trailer; a torn record decodes as invalid and is
+// claimable like an absent one (compare_and_put treats stored-corrupt as
+// absent for the same reason).
 //
 // Size the TTL above the worst-case build: there is no background renewal,
 // so a live build that outlasts its lease can be (harmlessly but wastefully)
@@ -49,6 +59,7 @@
 #include <string_view>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "registry/registry.hpp"
 #include "service/service.hpp"
 #include "store/store.hpp"
@@ -88,8 +99,6 @@ class LeaseCoordinator final : public service::FleetCoordinator {
     std::string replica_id;
     /// Lease lifetime. Must exceed the worst-case build (no renewal).
     std::chrono::milliseconds ttl{2000};
-    /// Waiter poll interval.
-    std::chrono::milliseconds poll{1};
     /// acquire() gives up (degrading the caller to an uncoordinated build)
     /// after waiting this long.
     std::chrono::milliseconds max_wait{30000};
@@ -100,15 +109,19 @@ class LeaseCoordinator final : public service::FleetCoordinator {
   LeaseCoordinator(std::shared_ptr<store::KvStore> store, registry::Registry* hub,
                    Options options);
 
-  Result<Grant> acquire(const std::string& key) override;
+  Result<Grant> acquire(const std::string& key, obs::SpanId parent) override;
   void release(const std::string& key, Outcome outcome, const std::string& output,
-               std::uint64_t epoch) override;
+               std::uint64_t epoch, obs::SpanId parent) override;
 
-  /// Counters "fleet.lease.acquired" (build grants), "fleet.lease.steals",
+  /// Spans "fleet.lease.acquire" (annotated with its grant: claim, steal,
+  /// reuse, timeout or error), a child "fleet.lease.wait" per watch
+  /// (annotated changed or deadline) and "fleet.lease.release". Counters
+  /// "fleet.lease.acquired" (build grants), "fleet.lease.steals",
   /// "fleet.lease.reused" (done-marker grants), "fleet.lease.waits"
-  /// (acquires that had to poll), "fleet.lease.releases", and gauge
-  /// "fleet.lease.wait_ms" (summed wait time). Wire up before sharing.
-  void set_metrics(obs::MetricsRegistry* metrics);
+  /// (acquires that found a live holder and waited), "fleet.lease.releases",
+  /// and gauge "fleet.lease.wait_ms" (summed wait time). Pass nullptrs to
+  /// detach. Wire up before sharing.
+  void set_observer(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
 
   /// Current lease record for `key`, nullopt when absent or undecodable —
   /// tests and operators inspecting the protocol state.
@@ -125,12 +138,13 @@ class LeaseCoordinator final : public service::FleetCoordinator {
   bool output_resolves(const std::string& output) const;
   /// The post-claim marker re-check that closes the marker/lease race; on a
   /// visible marker the fresh lease is dropped and reuse granted instead.
-  std::optional<Grant> reuse_after_claim(const std::string& key, double wait_ms);
+  std::optional<Grant> reuse_after_claim(const std::string& key);
   void note(obs::Counter* counter) const;
 
   std::shared_ptr<store::KvStore> store_;
   registry::Registry* hub_ = nullptr;
   Options options_;
+  obs::Tracer* tracer_ = nullptr;
   obs::Counter* acquired_ = nullptr;
   obs::Counter* steals_ = nullptr;
   obs::Counter* reused_ = nullptr;

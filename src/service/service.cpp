@@ -460,7 +460,7 @@ void RebuildService::run_next(SystemState& sys) {
   bool hold_lease = false;
   std::uint64_t lease_epoch = 0;
   if (options_.coordinator != nullptr) {
-    auto grant = options_.coordinator->acquire(job->key);
+    auto grant = options_.coordinator->acquire(job->key, job_span);
     if (grant.ok()) {
       trace.lease_wait_ms += grant.value().wait_ms;
       if (grant.value().reuse) {
@@ -495,7 +495,7 @@ void RebuildService::run_next(SystemState& sys) {
       options_.coordinator->release(job->key,
                                     result.ok() ? FleetCoordinator::Outcome::succeeded
                                                 : FleetCoordinator::Outcome::failed,
-                                    output, lease_epoch);
+                                    output, lease_epoch, job_span);
     }
   }
 
@@ -635,11 +635,11 @@ Status RebuildService::attempt_once(const TargetSystem& target, const SubmitRequ
   auto report = core::comtainer_rebuild(workspace, kWorkTag, options);
   trace.rebuild_ms += rebuild_clock.elapsed_ms();
   if (!report.ok()) return report.error();
-  trace.compile_jobs += report.value().jobs;
-  trace.cache_hits += report.value().cache_hits;
-  trace.cache_misses += report.value().cache_misses;
-  trace.journal_replayed += report.value().journal_replayed;
-  trace.journal_committed += report.value().journal_committed;
+  trace.compile_jobs += static_cast<std::uint32_t>(report.value().jobs);
+  trace.cache_hits += static_cast<std::uint32_t>(report.value().cache_hits);
+  trace.cache_misses += static_cast<std::uint32_t>(report.value().cache_misses);
+  trace.journal_replayed += static_cast<std::uint32_t>(report.value().journal_replayed);
+  trace.journal_committed += static_cast<std::uint32_t>(report.value().journal_committed);
 
   std::string output_tag = request.tag + "+coMre." + request.system;
   obs::Span push_span =

@@ -154,9 +154,9 @@ struct JobTrace {
   double push_ms = 0;     ///< result pushes, summed over attempts
   /// Backoff delay before each retry; monotonically non-decreasing.
   std::vector<double> backoff_ms;
-  std::size_t compile_jobs = 0;  ///< scheduler jobs, summed over attempts
-  std::size_t cache_hits = 0;    ///< compile-cache replays (shared cache)
-  std::size_t cache_misses = 0;
+  std::uint32_t compile_jobs = 0;  ///< scheduler jobs, summed over attempts
+  std::uint32_t cache_hits = 0;    ///< compile-cache replays (shared cache)
+  std::uint32_t cache_misses = 0;
   int attempts = 0;        ///< executions of pull→rebuild→push (retries + 1)
   bool coalesced = false;  ///< this ticket attached to another's in-flight job
   bool crashed = false;    ///< the job died at an injected crash site
@@ -165,10 +165,13 @@ struct JobTrace {
   double lease_wait_ms = 0;   ///< spent waiting on another replica's lease
   /// Compile jobs replayed from write-ahead journal commit records instead of
   /// executing (crash-resume and journaled retries), summed over attempts.
-  std::size_t journal_replayed = 0;
+  std::uint32_t journal_replayed = 0;
   /// Commit records this job appended to its journal, summed over attempts.
-  std::size_t journal_committed = 0;
+  std::uint32_t journal_committed = 0;
 };
+// Every finished ticket keeps one JobTrace (and so does a client that
+// records them); the counters are 32-bit to keep it at 96 bytes.
+static_assert(sizeof(JobTrace) <= 96, "JobTrace grew: every finished ticket keeps one");
 
 /// Snapshot of one ticket.
 struct TicketStatus {
@@ -220,15 +223,16 @@ class FleetCoordinator {
 
   /// Blocks until `key` (the coalescing key: manifest digest + "|" + system
   /// fingerprint) is either this replica's to build (lease held) or already
-  /// served (reuse grant).
-  virtual Result<Grant> acquire(const std::string& key) = 0;
+  /// served (reuse grant). `parent` is the job's span.
+  virtual Result<Grant> acquire(const std::string& key, obs::SpanId parent) = 0;
 
   /// Reports how the build under the lease ended. `output` is the published
   /// "name:tag" on success. Not called for reuse grants, and deliberately
   /// not called when the job died at an injected crash site — a dead process
-  /// releases nothing, the lease TTL hands the work over.
-  virtual void release(const std::string& key, Outcome outcome,
-                       const std::string& output, std::uint64_t epoch) = 0;
+  /// releases nothing, the lease TTL hands the work over. `parent` is the
+  /// job's span.
+  virtual void release(const std::string& key, Outcome outcome, const std::string& output,
+                       std::uint64_t epoch, obs::SpanId parent) = 0;
 };
 
 struct ServiceOptions {

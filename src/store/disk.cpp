@@ -184,20 +184,26 @@ Status DiskStore::write_atomic(const stdfs::path& path, std::string_view bytes) 
   return Status::success();
 }
 
+void DiskStore::notify(std::string_view key) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  note_wakes(watchers_.notify(key));
+}
+
+Result<std::string> DiskStore::read_value(const stdfs::path& path, std::string_view key) const {
+  COMT_TRY(std::string encoded, read_file(path));
+  if (!options_.framed) return encoded;
+  return unframe_value(std::move(encoded), std::string(key));
+}
+
 Result<std::string> DiskStore::get(std::string_view key) const {
   COMT_TRY(stdfs::path path, key_path(key));
-  COMT_TRY(std::string encoded, read_file(path));
-  if (!options_.framed) {
-    note_get(encoded.size());
-    return encoded;
+  auto value = read_value(path, key);
+  if (!value.ok()) {
+    if (value.error().code == Errc::corrupt) note_corrupt();
+    return value;
   }
-  auto payload = unframe_value(std::move(encoded), std::string(key));
-  if (!payload.ok()) {
-    note_corrupt();
-    return payload;
-  }
-  note_get(payload.value().size());
-  return payload;
+  note_get(value.value().size());
+  return value;
 }
 
 Status DiskStore::put(std::string_view key, std::string value) {
@@ -211,11 +217,15 @@ Status DiskStore::put(std::string_view key, std::string value) {
     // the next get() sees exactly the torn prefix.
     std::error_code ec;
     stdfs::create_directories(path.parent_path(), ec);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (out) out.write(encoded.data(), static_cast<std::streamsize>(*torn));
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::trunc);
+      if (out) out.write(encoded.data(), static_cast<std::streamsize>(*torn));
+    }
+    notify(key);
     throw support::CrashInjected{std::string(kStorePutSite)};
   }
   COMT_TRY_STATUS(write_atomic(path, encoded));
+  notify(key);
   note_put(encoded.size() - (options_.framed ? kFrameHeaderSize : 0));
   return Status::success();
 }
@@ -228,6 +238,7 @@ Status DiskStore::erase(std::string_view key) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     dirty_.erase(path.string());
+    note_wakes(watchers_.notify(key));
   }
   note_erase();
   return Status::success();
@@ -314,6 +325,20 @@ Status DiskStore::sync() {
   span.annotate("files", static_cast<std::uint64_t>(pending.size()));
   note_sync();
   return status;
+}
+
+Result<bool> DiskStore::wait_change(std::string_view key, const std::optional<std::string>& seen,
+                                    std::chrono::steady_clock::time_point deadline) const {
+  COMT_TRY(stdfs::path path, key_path(key));
+  // The read runs under mutex_, which every write takes to notify after its
+  // rename: a write lands either before this read or after the watch began.
+  std::unique_lock<std::mutex> lock(mutex_);
+  return watchers_.wait(lock, key, deadline, [&] {
+    auto value = read_value(path, key);
+    if (!value.ok() && value.error().code == Errc::not_found) return seen.has_value();
+    // A damaged or unreadable file differs from every value a caller saw.
+    return !value.ok() || !seen.has_value() || value.value() != *seen;
+  });
 }
 
 }  // namespace comt::store

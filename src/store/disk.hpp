@@ -19,6 +19,10 @@
 // sync() fsyncs every file written since the last sync (and its directory),
 // the durability point a production deployment would place after a batch of
 // writes.
+//
+// wait_change is woken by writes made through this DiskStore object. Another
+// process (or another DiskStore object) writing the same directory notifies
+// nobody here: its write is seen only when the watch reaches its deadline.
 #pragma once
 
 #include <filesystem>
@@ -51,19 +55,26 @@ class DiskStore final : public KvStore {
   Result<std::uint64_t> size(std::string_view key) const override;
   std::vector<KvEntry> list(std::string_view prefix = {}) const override;
   Status sync() override;
+  Result<bool> wait_change(std::string_view key, const std::optional<std::string>& seen,
+                           std::chrono::steady_clock::time_point deadline) const override;
 
   const std::string& root() const { return root_; }
   bool framed() const { return options_.framed; }
 
  private:
   Result<std::filesystem::path> key_path(std::string_view key) const;
+  /// The stored value at `path`, unframed and verified; counts nothing.
+  Result<std::string> read_value(const std::filesystem::path& path, std::string_view key) const;
   Status write_atomic(const std::filesystem::path& path, std::string_view bytes);
+  /// Wakes the watchers of `key` after a write that changed its file.
+  void notify(std::string_view key);
 
   std::string root_;
   Options options_;
-  mutable std::mutex mutex_;  ///< guards dirty_ and temp_seq_
+  mutable std::mutex mutex_;  ///< guards dirty_, temp_seq_ and watchers_
   std::set<std::string> dirty_;  ///< files written since the last sync()
   std::uint64_t temp_seq_ = 0;
+  mutable detail::KeyWatchers watchers_;
 };
 
 }  // namespace comt::store

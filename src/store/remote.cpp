@@ -245,6 +245,22 @@ std::vector<KvEntry> RemoteStore::list(std::string_view prefix) const {
   return out;
 }
 
+Result<bool> RemoteStore::wait_change(std::string_view key,
+                                      const std::optional<std::string>& seen,
+                                      std::chrono::steady_clock::time_point deadline) const {
+  if (key.empty()) return make_error(Errc::invalid_argument, "store: empty key");
+  COMT_TRY_STATUS(breaker_admit("watch"));
+  Status reachable = checked_attempts(kRemoteGetSite);
+  breaker_record(reachable.ok());
+  COMT_TRY_STATUS(reachable);
+  if (options_.get_latency.count() > 0) {
+    std::this_thread::sleep_for(options_.get_latency);
+  }
+  std::optional<std::string> framed;
+  if (seen.has_value()) framed = frame(*seen);
+  return inner_->wait_change(key, framed, deadline);
+}
+
 Status RemoteStore::sync() {
   obs::Span span = sync_span();
   COMT_TRY_STATUS(inner_->sync());

@@ -27,6 +27,12 @@
 // compare_and_put is inherited from KvStore and therefore runs through this
 // wrapper's latency/fault-instrumented get/put; arbitration holds across
 // every replica sharing this object, which is how the fleet deploys it.
+//
+// wait_change is a long-poll GET: it passes breaker admission and the
+// "remote.get" fault site, sleeps one get_latency, then forwards the watch to
+// the inner store with `seen` framed the way the inner store holds it. So a
+// write through any wrapper over the same inner store, or straight to the
+// inner store, ends the watch.
 #pragma once
 
 #include <atomic>
@@ -83,6 +89,8 @@ class RemoteStore final : public KvStore {
   Result<std::uint64_t> size(std::string_view key) const override;
   std::vector<KvEntry> list(std::string_view prefix = {}) const override;
   Status sync() override;
+  Result<bool> wait_change(std::string_view key, const std::optional<std::string>& seen,
+                           std::chrono::steady_clock::time_point deadline) const override;
 
   /// Base observer plus "store.remote.retries" (transient faults absorbed by
   /// the retry loop).

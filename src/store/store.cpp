@@ -8,6 +8,7 @@ void KvStore::set_observer(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
   tracer_ = tracer;
   if (metrics == nullptr) {
     gets_ = get_bytes_ = puts_ = put_bytes_ = erases_ = syncs_ = corrupt_ = nullptr;
+    watch_wakes_ = nullptr;
     return;
   }
   gets_ = &metrics->counter("store.gets");
@@ -17,6 +18,7 @@ void KvStore::set_observer(obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
   erases_ = &metrics->counter("store.erases");
   syncs_ = &metrics->counter("store.syncs");
   corrupt_ = &metrics->counter("store.corrupt");
+  watch_wakes_ = &metrics->counter("store.watch_wakes");
 }
 
 Result<bool> KvStore::compare_and_put(std::string_view key,
@@ -97,6 +99,7 @@ Status MemStore::put_shared(std::string_view key, std::shared_ptr<const std::str
       note_put(value->size());
       entries_.insert_or_assign(std::string(key), std::move(value));
     }
+    notify_locked(key);
   }
   if (torn.has_value()) throw support::CrashInjected{std::string(kStorePutSite)};
   return Status::success();
@@ -105,7 +108,10 @@ Status MemStore::put_shared(std::string_view key, std::shared_ptr<const std::str
 Status MemStore::erase(std::string_view key) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
-  if (it != entries_.end()) entries_.erase(it);
+  if (it != entries_.end()) {
+    entries_.erase(it);
+    notify_locked(key);
+  }
   note_erase();
   return Status::success();
 }
@@ -138,6 +144,17 @@ std::vector<KvEntry> MemStore::list(std::string_view prefix) const {
 Status MemStore::sync() {
   note_sync();
   return Status::success();
+}
+
+Result<bool> MemStore::wait_change(std::string_view key, const std::optional<std::string>& seen,
+                                   std::chrono::steady_clock::time_point deadline) const {
+  if (key.empty()) return make_error(Errc::invalid_argument, "store: empty key");
+  std::unique_lock<std::mutex> lock(mutex_);
+  return watchers_.wait(lock, key, deadline, [&] {
+    auto it = entries_.find(key);
+    if (it == entries_.end()) return seen.has_value();
+    return !seen.has_value() || *it->second != *seen;
+  });
 }
 
 }  // namespace comt::store

@@ -14,8 +14,15 @@
 // Backends are thread-safe. Observability (set_observer) and fault injection
 // (set_fault_injector) are wired before a store is shared, like every other
 // module in the tree.
+//
+// wait_change is the one blocking primitive: a caller that read a key blocks
+// until a write replaces what it read. MemStore and DiskStore keep their
+// watchers per key, so a write wakes only the watchers of the key it wrote;
+// RemoteStore forwards the watch to the store it wraps.
 #pragma once
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -97,9 +104,23 @@ class KvStore {
                                        const std::optional<std::string>& expected,
                                        std::string value);
 
+  /// Blocks until the value under `key` is no longer `seen` (nullopt:
+  /// absent) or until `deadline`, and returns whether it changed. Returns
+  /// true at once when the value already differs, so a write landing
+  /// between the caller's read and its wait is never lost. A put of
+  /// identical bytes is no change; a put of other bytes, an erase and a torn
+  /// put are. The watch sees writes made through this store object (or, for
+  /// a wrapper, through the store it wraps); it costs no get and bumps no
+  /// "store.gets". Errors are the backend's read errors — a caller treats
+  /// them like a failed get, never as a reason to retry at once.
+  virtual Result<bool> wait_change(std::string_view key,
+                                   const std::optional<std::string>& seen,
+                                   std::chrono::steady_clock::time_point deadline) const = 0;
+
   /// Attaches counters ("store.gets", "store.get_bytes", "store.puts",
-  /// "store.put_bytes", "store.erases", "store.syncs", "store.corrupt") and
-  /// a span per sync ("store.sync"). Pass nullptrs to detach. Wire up before
+  /// "store.put_bytes", "store.erases", "store.syncs", "store.corrupt",
+  /// "store.watch_wakes": wait_change callers a write notified) and a span
+  /// per sync ("store.sync"). Pass nullptrs to detach. Wire up before
   /// sharing the store. Virtual so a wrapping backend (RemoteStore) can bind
   /// its own instruments alongside the base set.
   virtual void set_observer(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
@@ -130,6 +151,9 @@ class KvStore {
   void note_sync() const {
     if (syncs_ != nullptr) syncs_->add();
   }
+  void note_wakes(std::size_t watchers) const {
+    if (watch_wakes_ != nullptr && watchers != 0) watch_wakes_->add(watchers);
+  }
   /// "store.sync" span, or an inert one when no tracer is attached.
   obs::Span sync_span() const;
   support::FaultInjector* faults() const { return faults_; }
@@ -145,14 +169,57 @@ class KvStore {
   obs::Counter* erases_ = nullptr;
   obs::Counter* syncs_ = nullptr;
   obs::Counter* corrupt_ = nullptr;
+  obs::Counter* watch_wakes_ = nullptr;
 };
+
+namespace detail {
+
+/// The wait_change watchers of one store, one condition variable per watched
+/// key. Guarded by the owning store's mutex: every member function runs with
+/// that mutex held (wait() through `lock`), so a write and its notify() are
+/// one step for a watcher that checks the value under the same mutex.
+class KeyWatchers {
+ public:
+  /// Waits on `lock` until `changed()` holds or `deadline` passes; returns
+  /// the last evaluation. `changed` runs under the lock, at entry and after
+  /// each notify() of `key`.
+  template <typename Changed>
+  bool wait(std::unique_lock<std::mutex>& lock, std::string_view key,
+            std::chrono::steady_clock::time_point deadline, Changed changed) {
+    if (changed()) return true;
+    auto it = watches_.try_emplace(std::string(key)).first;
+    ++it->second.waiters;
+    const bool result = it->second.cv.wait_until(lock, deadline, changed);
+    if (--it->second.waiters == 0) watches_.erase(it);
+    return result;
+  }
+
+  /// Wakes every watcher of `key`; returns how many. A key nobody watches
+  /// costs one lookup.
+  std::size_t notify(std::string_view key) {
+    if (watches_.empty()) return 0;
+    auto it = watches_.find(key);
+    if (it == watches_.end()) return 0;
+    it->second.cv.notify_all();
+    return it->second.waiters;
+  }
+
+ private:
+  struct Watch {
+    std::condition_variable cv;
+    std::size_t waiters = 0;
+  };
+  std::map<std::string, Watch, std::less<>> watches_;
+};
+
+}  // namespace detail
 
 /// The in-memory backend: a mutex-guarded ordered map. Each value is an
 /// immutable shared buffer, so a copy of the store costs one pointer per key:
 /// the copy shares the source's buffers, and a put on either side replaces
 /// its own buffer, invisible to the other. get() still returns a copy of the
 /// bytes; get_shared()/put_shared() hand buffers over without one. A copy
-/// starts with no observer and no fault injector.
+/// starts with no observer, no fault injector and no watchers.
 class MemStore final : public KvStore {
  public:
   MemStore() = default;
@@ -167,10 +234,16 @@ class MemStore final : public KvStore {
   Result<std::uint64_t> size(std::string_view key) const override;
   std::vector<KvEntry> list(std::string_view prefix = {}) const override;
   Status sync() override;
+  Result<bool> wait_change(std::string_view key, const std::optional<std::string>& seen,
+                           std::chrono::steady_clock::time_point deadline) const override;
 
  private:
+  /// Wakes the watchers of `key`. Called with mutex_ held, after the write.
+  void notify_locked(std::string_view key) const { note_wakes(watchers_.notify(key)); }
+
   mutable std::mutex mutex_;
   std::map<std::string, std::shared_ptr<const std::string>, std::less<>> entries_;
+  mutable detail::KeyWatchers watchers_;
 };
 
 }  // namespace comt::store

@@ -10,6 +10,8 @@
 
 #include <chrono>
 #include <functional>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "fleet/lease.hpp"
 #include "registry/registry.hpp"
 #include "service/service.hpp"
+#include "store/remote.hpp"
 #include "store/store.hpp"
 #include "support/fault.hpp"
 #include "sysmodel/sysmodel.hpp"
@@ -116,7 +119,7 @@ TEST(FleetLeaseTest, ClaimStealAndRelease) {
   b_opts.replica_id = "b";
   LeaseCoordinator b(store, nullptr, b_opts);
 
-  auto grant = a.acquire("k");
+  auto grant = a.acquire("k", obs::kNoSpan);
   ASSERT_TRUE(grant.ok());
   EXPECT_FALSE(grant.value().reuse);
   EXPECT_FALSE(grant.value().stolen);
@@ -127,7 +130,7 @@ TEST(FleetLeaseTest, ClaimStealAndRelease) {
 
   // "a" dies without releasing; once the TTL lapses, "b" steals at epoch 2.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  auto steal = b.acquire("k");
+  auto steal = b.acquire("k", obs::kNoSpan);
   ASSERT_TRUE(steal.ok());
   EXPECT_FALSE(steal.value().reuse);
   EXPECT_TRUE(steal.value().stolen);
@@ -135,49 +138,128 @@ TEST(FleetLeaseTest, ClaimStealAndRelease) {
   EXPECT_EQ(b.read_lease("k")->owner, "b");
 
   // A late release by the dead reign must not clobber the new one.
-  a.release("k", LeaseCoordinator::Outcome::failed, "", /*epoch=*/1);
+  a.release("k", LeaseCoordinator::Outcome::failed, "", /*epoch=*/1, obs::kNoSpan);
   EXPECT_EQ(b.read_lease("k")->owner, "b");
 
   // The live reign finishes: marker published, lease retired.
-  b.release("k", LeaseCoordinator::Outcome::succeeded, "img:tag", /*epoch=*/2);
+  b.release("k", LeaseCoordinator::Outcome::succeeded, "img:tag", /*epoch=*/2, obs::kNoSpan);
   EXPECT_FALSE(b.read_lease("k").has_value());
   EXPECT_EQ(b.read_done("k").value_or(""), "img:tag");
 
   // Every later acquire is a reuse of the published result.
-  auto reuse = a.acquire("k");
+  auto reuse = a.acquire("k", obs::kNoSpan);
   ASSERT_TRUE(reuse.ok());
   EXPECT_TRUE(reuse.value().reuse);
   EXPECT_EQ(reuse.value().output, "img:tag");
 }
 
-TEST(FleetLeaseTest, WaiterPollsUntilHolderPublishes) {
-  auto store = std::make_shared<store::MemStore>();
+/// A holder on `store` releases 50 ms after a waiter starts watching; TTL and
+/// max_wait are 2 s, so only the release can end the wait early.
+void expect_waiter_woken_by_release(std::shared_ptr<store::KvStore> store) {
   obs::MetricsRegistry metrics;
+  obs::Tracer tracer;
+  store->set_observer(nullptr, &metrics);
   LeaseCoordinator::Options opts;
   opts.replica_id = "holder";
-  opts.ttl = std::chrono::milliseconds(5000);  // holder stays alive throughout
+  opts.ttl = std::chrono::milliseconds(2000);
+  opts.max_wait = std::chrono::milliseconds(2000);
   LeaseCoordinator holder(store, nullptr, opts);
-  LeaseCoordinator::Options w_opts = opts;
-  w_opts.replica_id = "waiter";
-  LeaseCoordinator waiter(store, nullptr, w_opts);
-  waiter.set_metrics(&metrics);
+  opts.replica_id = "waiter";
+  LeaseCoordinator waiter(store, nullptr, opts);
+  waiter.set_observer(&tracer, &metrics);
 
-  auto held = holder.acquire("k");
+  auto held = holder.acquire("k", obs::kNoSpan);
   ASSERT_TRUE(held.ok());
-
+  const std::uint64_t gets_before = metrics.counter_value("store.gets");
   std::thread publisher([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    holder.release("k", LeaseCoordinator::Outcome::succeeded, "img:tag",
-                   held.value().epoch);
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    holder.release("k", LeaseCoordinator::Outcome::succeeded, "img:tag", held.value().epoch,
+                   obs::kNoSpan);
   });
-  auto got = waiter.acquire("k");
+  auto got = waiter.acquire("k", obs::kNoSpan);
   publisher.join();
+  const std::uint64_t gets = metrics.counter_value("store.gets") - gets_before;
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got.value().reuse);
   EXPECT_EQ(got.value().output, "img:tag");
+  // Woken by the release, not by the 2 s deadline.
   EXPECT_GT(got.value().wait_ms, 0.0);
+  EXPECT_LT(got.value().wait_ms, 1000.0);
+  // The waiter reads the marker and the record, watches, then reads the
+  // marker again; the release reads the record once. A 1 ms poll would read
+  // about 100 times over the 50 ms.
+  EXPECT_LE(gets, 8u);
   EXPECT_EQ(metrics.counter_value("fleet.lease.waits"), 1u);
   EXPECT_EQ(metrics.counter_value("fleet.lease.reused"), 1u);
+
+  // The acquire span carries the grant; its watch is a child span that the
+  // release's write ended.
+  const std::vector<obs::SpanRecord> spans = tracer.snapshot();
+  auto arg = [](const obs::SpanRecord& span, std::string_view key) {
+    for (const auto& [k, v] : span.args) {
+      if (k == key) return v;
+    }
+    return std::string();
+  };
+  const obs::SpanRecord* acquire = nullptr;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name == "fleet.lease.acquire") acquire = &span;
+  }
+  ASSERT_NE(acquire, nullptr);
+  EXPECT_EQ(arg(*acquire, "grant"), "reuse");
+  std::size_t watches = 0;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name != "fleet.lease.wait") continue;
+    ++watches;
+    EXPECT_EQ(span.parent, acquire->id);
+    EXPECT_EQ(arg(span, "woke"), "changed");
+  }
+  EXPECT_EQ(watches, 1u);
+}
+
+TEST(FleetLeaseTest, WaiterIsWokenByTheRelease) {
+  {
+    SCOPED_TRACE("MemStore");
+    expect_waiter_woken_by_release(std::make_shared<store::MemStore>());
+  }
+  {
+    SCOPED_TRACE("RemoteStore over MemStore");
+    expect_waiter_woken_by_release(
+        std::make_shared<store::RemoteStore>(std::make_shared<store::MemStore>()));
+  }
+}
+
+TEST(FleetLeaseTest, WaiterStealsAtTheDeadlineWithoutAWrite) {
+  auto store = std::make_shared<store::MemStore>();
+  obs::MetricsRegistry metrics;
+  store->set_observer(nullptr, &metrics);
+  LeaseCoordinator::Options opts;
+  opts.replica_id = "holder";
+  opts.ttl = std::chrono::milliseconds(80);
+  opts.max_wait = std::chrono::milliseconds(2000);
+  LeaseCoordinator holder(store, nullptr, opts);
+  opts.replica_id = "waiter";
+  LeaseCoordinator waiter(store, nullptr, opts);
+
+  const auto start = std::chrono::steady_clock::now();
+  auto held = holder.acquire("k", obs::kNoSpan);
+  ASSERT_TRUE(held.ok());
+  const std::uint64_t gets_before = metrics.counter_value("store.gets");
+  // The holder never releases: no write ends the watch, the deadline does.
+  auto got = waiter.acquire("k", obs::kNoSpan);
+  const double elapsed_ms =
+      std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+          .count();
+  ASSERT_TRUE(got.ok());
+  EXPECT_FALSE(got.value().reuse);
+  EXPECT_TRUE(got.value().stolen);
+  EXPECT_EQ(got.value().epoch, 2u);
+  EXPECT_EQ(waiter.read_lease("k")->owner, "waiter");
+  // The lease clock counts whole milliseconds, so an 80 ms TTL lapses 79 to
+  // 80 ms after the claim.
+  EXPECT_GE(elapsed_ms, 79.0);
+  EXPECT_LE(elapsed_ms, 150.0);
+  EXPECT_LE(metrics.counter_value("store.gets") - gets_before, 8u);
 }
 
 /// Forwards to a MemStore, and runs `hook` once, right before the first
@@ -205,6 +287,10 @@ class InterleavingStore final : public store::KvStore {
     return inner_.list(prefix);
   }
   Status sync() override { return inner_.sync(); }
+  Result<bool> wait_change(std::string_view key, const std::optional<std::string>& seen,
+                           std::chrono::steady_clock::time_point deadline) const override {
+    return inner_.wait_change(key, seen, deadline);
+  }
 
  private:
   void fire() const {
@@ -228,12 +314,12 @@ TEST(FleetLeaseTest, StaleMarkerCheckNeverLosesAFreshMarker) {
   LeaseCoordinator::Options opts;
   opts.replica_id = "holder";
   LeaseCoordinator holder(store, &hub, opts);
-  holder.set_metrics(&metrics);
+  holder.set_observer(nullptr, &metrics);
   opts.replica_id = "late";
   LeaseCoordinator late(store, &hub, opts);
-  late.set_metrics(&metrics);
+  late.set_observer(nullptr, &metrics);
 
-  auto held = holder.acquire("k");
+  auto held = holder.acquire("k", obs::kNoSpan);
   ASSERT_TRUE(held.ok());
   ASSERT_FALSE(held.value().reuse);
 
@@ -243,9 +329,9 @@ TEST(FleetLeaseTest, StaleMarkerCheckNeverLosesAFreshMarker) {
   ASSERT_TRUE(store->put(std::string(kDonePrefix) + "k", "hub/minimd:gone").ok());
   store->arm([&] {
     holder.release("k", LeaseCoordinator::Outcome::succeeded, "hub/minimd:1.0",
-                   held.value().epoch);
+                   held.value().epoch, obs::kNoSpan);
   });
-  auto got = late.acquire("k");
+  auto got = late.acquire("k", obs::kNoSpan);
   ASSERT_TRUE(got.ok());
   EXPECT_TRUE(got.value().reuse);
   EXPECT_EQ(got.value().output, "hub/minimd:1.0");
@@ -260,7 +346,7 @@ TEST(FleetLeaseTest, TornLeaseRecordIsClaimableNotWedged) {
   LeaseCoordinator::Options opts;
   opts.replica_id = "a";
   LeaseCoordinator a(store, nullptr, opts);
-  auto grant = a.acquire("k");
+  auto grant = a.acquire("k", obs::kNoSpan);
   ASSERT_TRUE(grant.ok());
   EXPECT_FALSE(grant.value().reuse);
   EXPECT_EQ(a.read_lease("k")->owner, "a");
@@ -320,6 +406,43 @@ TEST(FleetTest, IdenticalSubmissionsAcrossReplicasBuildExactlyOnce) {
   EXPECT_EQ(hub.resolve("hub/minimd", kOutTag).value().value, want);
 }
 
+TEST(FleetTest, LeaseSpansNestUnderTheJob) {
+  registry::Registry hub;
+  ASSERT_TRUE(publish(hub, "minimd", "hub/minimd", "1.0").ok());
+  obs::Tracer tracer;
+  FleetOptions options;
+  options.replicas = 2;
+  options.tracer = &tracer;
+  Fleet fleet(hub, options);
+  ASSERT_TRUE(fleet.add_system(kSys, make_target()).ok());
+
+  std::vector<FleetTicket> tickets;
+  for (std::size_t i = 0; i < 2; ++i) {
+    auto ticket = fleet.submit_to(i, {"hub/minimd", "1.0", kSys});
+    ASSERT_TRUE(ticket.ok());
+    tickets.push_back(ticket.value());
+  }
+  for (const FleetTicket& ticket : tickets) {
+    ASSERT_EQ(fleet.wait(ticket).value().state, JobState::succeeded);
+  }
+
+  // One acquire per job and one release for the one build, each under its
+  // job's "service.job" span; every watch under an acquire.
+  std::map<obs::SpanId, std::string> names;
+  const std::vector<obs::SpanRecord> spans = tracer.snapshot();
+  for (const obs::SpanRecord& span : spans) names[span.id] = span.name;
+  std::map<std::string, std::size_t> lease_spans;
+  for (const obs::SpanRecord& span : spans) {
+    if (span.name.rfind("fleet.lease.", 0) != 0) continue;
+    ++lease_spans[span.name];
+    const std::string parent = names[span.parent];
+    EXPECT_EQ(parent, span.name == "fleet.lease.wait" ? "fleet.lease.acquire" : "service.job")
+        << span.name;
+  }
+  EXPECT_EQ(lease_spans["fleet.lease.acquire"], 2u);
+  EXPECT_EQ(lease_spans["fleet.lease.release"], 1u);
+}
+
 TEST(FleetTest, CrossReplicaWarmCacheThroughSharedStore) {
   const std::string want = reference_digest();
 
@@ -367,7 +490,7 @@ TEST(FleetTest, CoordinatorTimeoutDegradesToUncoordinatedBuild) {
 
   // Wedge the lease from outside: a holder that never finishes.
   const std::string key = job_key(hub, "hub/minimd", "1.0");
-  auto wedge = fleet.coordinator(0).acquire(key);
+  auto wedge = fleet.coordinator(0).acquire(key, obs::kNoSpan);
   ASSERT_TRUE(wedge.ok());
 
   auto ticket = fleet.submit_to(1, {"hub/minimd", "1.0", kSys});

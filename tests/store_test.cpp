@@ -4,7 +4,9 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -416,6 +418,159 @@ TEST_F(StoreDirTest, CompareAndPutTreatsCorruptValueAsAbsent) {
   // A torn lease record must stay claimable, never wedge the key.
   EXPECT_TRUE(kv.compare_and_put("lease", std::nullopt, "fresh").value());
   EXPECT_EQ(kv.get("lease").value(), "fresh");
+}
+
+// ---------------------------------------------------------------------------
+// wait_change — the watch a lease waiter blocks in, on every backend.
+
+using Clock = std::chrono::steady_clock;
+using std::chrono::milliseconds;
+
+/// A watch of `key` (holding `seen`) with a 10 s deadline, while `write` runs
+/// on another thread 20 ms in: the write must end the watch, well under 1 s.
+void expect_write_ends_watch(const KvStore& watched, std::string_view key,
+                             const std::optional<std::string>& seen,
+                             const std::function<void()>& write) {
+  const auto start = Clock::now();
+  std::thread writer([&] {
+    std::this_thread::sleep_for(milliseconds(20));
+    write();
+  });
+  auto changed = watched.wait_change(key, seen, start + std::chrono::seconds(10));
+  writer.join();
+  ASSERT_TRUE(changed.ok()) << changed.error().to_string();
+  EXPECT_TRUE(changed.value());
+  EXPECT_LT(Clock::now() - start, milliseconds(1000));
+}
+
+/// The watch contract. `torn_site` is the site that tears a put through `kv`;
+/// `inner`, for a wrapper, is the store it wraps, whose own writes must wake
+/// a watch made through the wrapper too.
+void exercise_watch_contract(KvStore& kv, std::string_view torn_site,
+                             KvStore* inner = nullptr) {
+  const auto far = [] { return Clock::now() + std::chrono::seconds(10); };
+  const auto near = [] { return Clock::now() + milliseconds(30); };
+  ASSERT_TRUE(kv.put("w/a", "one").ok());
+
+  // A value that already differs returns at once: present against absent,
+  // absent against present, other bytes.
+  const auto start = Clock::now();
+  EXPECT_TRUE(kv.wait_change("w/a", std::nullopt, far()).value());
+  EXPECT_TRUE(kv.wait_change("w/absent", std::string("one"), far()).value());
+  EXPECT_TRUE(kv.wait_change("w/a", std::string("two"), far()).value());
+  EXPECT_LT(Clock::now() - start, milliseconds(1000));
+
+  // Nothing changes: false at a near deadline.
+  EXPECT_FALSE(kv.wait_change("w/a", std::string("one"), near()).value());
+  EXPECT_FALSE(kv.wait_change("w/absent", std::nullopt, near()).value());
+
+  // A put of identical bytes is no change.
+  {
+    std::thread same([&] {
+      std::this_thread::sleep_for(milliseconds(5));
+      EXPECT_TRUE(kv.put("w/a", "one").ok());
+    });
+    auto changed = kv.wait_change("w/a", std::string("one"), Clock::now() + milliseconds(60));
+    same.join();
+    EXPECT_FALSE(changed.value());
+  }
+
+  // Each write from another thread ends the watch.
+  expect_write_ends_watch(kv, "w/a", std::string("one"),
+                          [&] { EXPECT_TRUE(kv.put("w/a", "two").ok()); });
+  expect_write_ends_watch(kv, "w/a", std::string("two"),
+                          [&] { EXPECT_TRUE(kv.erase("w/a").ok()); });
+  expect_write_ends_watch(kv, "w/a", std::nullopt,
+                          [&] { EXPECT_TRUE(kv.put("w/a", "three").ok()); });
+  support::FaultInjector faults;
+  kv.set_fault_injector(&faults);
+  faults.tear_next(std::string(torn_site));
+  expect_write_ends_watch(kv, "w/a", std::string("three"), [&] {
+    EXPECT_THROW((void)kv.put("w/a", "a write that dies midway"), support::CrashInjected);
+  });
+  kv.set_fault_injector(nullptr);
+  EXPECT_EQ(faults.injected(std::string(torn_site)), 1u);
+
+  if (inner != nullptr) {
+    ASSERT_TRUE(kv.put("w/b", "one").ok());
+    expect_write_ends_watch(kv, "w/b", std::string("one"),
+                            [&] { EXPECT_TRUE(inner->erase("w/b").ok()); });
+  }
+}
+
+TEST(MemStoreTest, HonoursWatchContract) {
+  MemStore kv;
+  exercise_watch_contract(kv, kStorePutSite);
+}
+
+TEST_F(StoreDirTest, DiskStoreHonoursWatchContract) {
+  DiskStore kv(dir());
+  exercise_watch_contract(kv, kStorePutSite);
+}
+
+TEST(RemoteStoreTest, HonoursWatchContract) {
+  auto inner = std::make_shared<MemStore>();
+  RemoteStore kv(inner);
+  exercise_watch_contract(kv, kRemotePutSite, inner.get());
+}
+
+TEST_F(StoreDirTest, RemoteOverDiskHonoursWatchContract) {
+  auto inner = std::make_shared<DiskStore>(dir());
+  RemoteStore kv(inner);
+  exercise_watch_contract(kv, kRemotePutSite, inner.get());
+}
+
+/// Writes to other keys while a watch of "watched" blocks: only the write of
+/// the watched key may notify the watcher ("store.watch_wakes").
+void expect_only_watched_key_wakes(KvStore& kv) {
+  obs::MetricsRegistry metrics;
+  kv.set_observer(nullptr, &metrics);
+  ASSERT_TRUE(kv.put("watched", "v").ok());
+  std::thread writer([&] {
+    std::this_thread::sleep_for(milliseconds(20));  // the watch has begun
+    for (int i = 0; i < 5; ++i) {
+      EXPECT_TRUE(kv.put("other/" + std::to_string(i), "x").ok());
+      std::this_thread::sleep_for(milliseconds(1));
+    }
+    EXPECT_TRUE(kv.put("watched", "w").ok());
+  });
+  auto changed = kv.wait_change("watched", std::string("v"), Clock::now() + std::chrono::seconds(10));
+  writer.join();
+  EXPECT_TRUE(changed.value());
+  EXPECT_LE(metrics.counter_value("store.watch_wakes"), 1u);
+  kv.set_observer(nullptr, nullptr);
+}
+
+TEST(MemStoreTest, WriteWakesOnlyTheWatchersOfItsKey) {
+  MemStore kv;
+  expect_only_watched_key_wakes(kv);
+}
+
+TEST_F(StoreDirTest, DiskStoreWriteWakesOnlyTheWatchersOfItsKey) {
+  DiskStore kv(dir());
+  expect_only_watched_key_wakes(kv);
+}
+
+TEST(RemoteStoreTest, WatchPassesTheFaultSiteAndTheBreaker) {
+  RemoteStore::Options options;
+  options.max_attempts = 2;
+  options.breaker_threshold = 1;
+  options.breaker_cooldown = std::chrono::seconds(60);
+  RemoteStore kv(std::make_shared<MemStore>(), options);
+  support::FaultInjector faults;
+  kv.set_fault_injector(&faults);
+  ASSERT_TRUE(kv.put("k", "v").ok());
+  // A transient fault is retried away like a get's.
+  faults.fail_next(std::string(kRemoteGetSite), 1);
+  EXPECT_TRUE(kv.wait_change("k", std::nullopt, Clock::now()).value());
+  EXPECT_EQ(kv.retries(), 1u);
+  // Retries exhausted: the watch fails, and that trips the breaker…
+  faults.fail_next(std::string(kRemoteGetSite), 2);
+  EXPECT_FALSE(kv.wait_change("k", std::nullopt, Clock::now()).ok());
+  EXPECT_EQ(kv.breaker_state(), RemoteStore::BreakerState::open);
+  // …which then fails the next watch fast.
+  EXPECT_FALSE(kv.wait_change("k", std::nullopt, Clock::now()).ok());
+  EXPECT_EQ(kv.breaker_fast_fails(), 1u);
 }
 
 // ---------------------------------------------------------------------------
