@@ -12,7 +12,7 @@
 //
 // Usage: crash_resume [--smoke] [--restart-smoke <dir>]
 //   --smoke   fewer repetitions, and a nonzero exit when the no-crash journal
-//             overhead exceeds the 3% bar (CI-friendly).
+//             overhead exceeds both the 3% bar and a 2 ms floor (CI-friendly).
 //   --restart-smoke <dir>
 //             process-restart persistence check: crash a rebuild whose journal
 //             and compile cache persist into a DiskStore at <dir>, then rebuild
@@ -344,7 +344,13 @@ int main(int argc, char** argv) {
                    overhead_pct, delta_ms);
       return 1;
     }
-    std::printf("smoke: journal overhead %.2f%% — within the 3%% bar\n", overhead_pct);
+    if (overhead_pct < 3.0) {
+      std::printf("smoke: journal overhead %.2f%% — within the 3%% bar\n", overhead_pct);
+    } else {
+      std::printf("smoke: journal overhead %.2f%% — above the 3%% bar, passed by the "
+                  "2 ms floor (%.3f ms)\n",
+                  overhead_pct, delta_ms);
+    }
   }
   return 0;
 }

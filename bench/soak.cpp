@@ -22,8 +22,6 @@
 //                         breaker must trip open, fail fast without
 //                         touching the wire, and recover through its
 //                         half-open probe once the network heals
-//   6. convergence        after the load stops, every replica's autoscaled
-//                         worker pools must shrink back to min_workers
 //
 // SLO gates (hard failures, applied in every mode):
 //   - fairness: quiet tenant flood p99 queue wait <= 3x max(solo p99, floor)
@@ -31,7 +29,6 @@
 //   - zero failed tickets: the flaky network must be absorbed by retries
 //   - breaker: opens under the outage, recovers to closed, fast-fails
 //     without consuming network attempts
-//   - autoscaler: scaled up under the flood, converged back to min after
 //
 // Usage: soak [--smoke] [--duration-s D] [--quiet-waves N] [--hot-clients N]
 //             [--floor-ms F] [--json PATH]
@@ -321,17 +318,12 @@ int main(int argc, char** argv) {
   fleet::FleetOptions options;
   options.replicas = replicas;
   options.queue_capacity = 4096;
-  options.workers_per_system = 1;
+  // Fixed pools of 3: the size with the lower quiet-tenant flood p99 of the
+  // two measured, 1 and 3 (docs/PERFORMANCE.md §6).
+  options.workers_per_system = 3;
   options.max_attempts = 3;
   options.sleep_on_backoff = true;
   options.tenants["capped"] = service::TenantPolicy{1.0, 3.0, 0.0};
-  options.autoscale.enabled = true;
-  options.autoscale.min_workers = 1;
-  options.autoscale.max_workers = 3;
-  options.autoscale.interval_ms = 10;
-  options.autoscale.up_backlog_per_worker = 1.0;
-  options.autoscale.down_backlog_per_worker = 0.25;
-  options.autoscale.cooldown_periods = 3;
   options.store = remote;
   options.faults = &compile_faults;
   options.metrics = &metrics;
@@ -512,30 +504,9 @@ int main(int argc, char** argv) {
   const std::uint64_t breaker_closes = metrics.counter_value("store.remote.breaker.closes");
   const std::uint64_t breaker_fast_fails = remote->breaker_fast_fails();
 
-  // ---- phase 6: autoscaler convergence --------------------------------------
-  t0 = std::chrono::steady_clock::now();
-  bool converged = false;
-  while (since_ms(t0) < 15000.0) {
-    converged = true;
-    for (std::size_t r = 0; r < replicas && converged; ++r) {
-      for (const auto& [fp, profile] : isas) {
-        const std::string gauge = "service.autoscale.workers.replica" +
-                                  std::to_string(r) + "." + fp;
-        if (metrics.gauge_value(gauge) !=
-            static_cast<double>(options.autoscale.min_workers)) {
-          converged = false;
-          break;
-        }
-      }
-    }
-    if (converged) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  double converge_ms = since_ms(t0);
   fleet.drain();
 
   // ---- report + gates -------------------------------------------------------
-  fleet::FleetStats stats = fleet.stats();
   const double fairness_base = std::max(solo_p99, floor_ms);
   const double fairness_ratio = flood_p99 / fairness_base;
   const std::uint64_t net_injected = net_faults.injected(store::kRemoteGetSite) +
@@ -552,9 +523,6 @@ int main(int argc, char** argv) {
   std::printf("%-28s %10.2f ms (solo %.2f ms, floor %.2f ms) -> ratio %.2f\n",
               "quiet p99 queue wait", flood_p99, solo_p99, floor_ms, fairness_ratio);
   std::printf("%-28s %10.2f ms\n", "hot p99 queue wait", hot_p99);
-  std::printf("%-28s %10zu up, %zu down, converged=%s in %.0f ms\n", "scale events",
-              stats.scale_ups, stats.scale_downs, converged ? "yes" : "no",
-              converge_ms);
   std::printf("%-28s %10llu opens, %llu closes, %llu fast fails, recovered=%s\n",
               "breaker",
               static_cast<unsigned long long>(breaker_opens),
@@ -563,24 +531,26 @@ int main(int argc, char** argv) {
               breaker_recovered ? "yes" : "no");
   // Chunk-transfer economics: rebuilt images share almost everything with
   // what the hub already holds, so the wire cost per rebuild is the delta.
+  // Rebuilds are the fleet's build grants; every other ticket coalesced or
+  // reused a published result and pushed nothing.
   registry::Stats hub_stats = hub.stats();
+  const std::uint64_t rebuilds = fleet.stats().leases_acquired;
   const std::uint64_t chunk_probes = hub_stats.chunks_moved + hub_stats.chunks_reused;
   const double chunk_hit_rate =
       chunk_probes == 0
           ? 0.0
           : static_cast<double>(hub_stats.chunks_reused) / static_cast<double>(chunk_probes);
-  const double moved_per_rebuild =
-      ledger.succeeded == 0 ? 0.0
-                            : static_cast<double>(hub_stats.chunk_bytes_moved) /
-                                  static_cast<double>(ledger.succeeded);
+  const std::uint64_t bytes_per_rebuild =
+      rebuilds == 0 ? 0 : hub_stats.chunk_bytes_moved / rebuilds;
   std::printf("%-28s %9.1f%% (%llu moved, %llu reused)\n", "chunk hit rate",
               100.0 * chunk_hit_rate,
               static_cast<unsigned long long>(hub_stats.chunks_moved),
               static_cast<unsigned long long>(hub_stats.chunks_reused));
-  std::printf("%-28s %10.2f MiB (%.2f MiB/rebuild, dedup %.2fx)\n",
+  std::printf("%-28s %10llu B (%llu rebuilds, %llu B/rebuild, dedup %.2fx)\n",
               "chunk bytes moved",
-              workloads::to_sim_mib(hub_stats.chunk_bytes_moved),
-              workloads::to_sim_mib(static_cast<std::uint64_t>(moved_per_rebuild)),
+              static_cast<unsigned long long>(hub_stats.chunk_bytes_moved),
+              static_cast<unsigned long long>(rebuilds),
+              static_cast<unsigned long long>(bytes_per_rebuild),
               fleet.chunk_store() == nullptr ? 0.0
                                              : fleet.chunk_store()->dedup_ratio());
   std::printf("%-28s %10llu network faults injected, %llu store retries\n",
@@ -605,8 +575,6 @@ int main(int argc, char** argv) {
        "fairness: quiet tenant flood p99 exceeds 3x its solo baseline");
   gate(flood_factor_built >= 10.0, "flood under-provisioned (< 10x quiet)");
   gate(quota_throttled >= 1, "quota burst never throttled");
-  gate(stats.scale_ups >= 1, "autoscaler never scaled up under the flood");
-  gate(converged, "autoscaler did not converge back to min workers");
   gate(breaker_opens >= 1 && breaker_recovered && breaker_closes >= 1,
        "breaker did not trip open and recover through half-open");
   gate(breaker_fast_fails >= 1, "open breaker never failed fast");
@@ -655,14 +623,6 @@ int main(int argc, char** argv) {
     breaker_obj.emplace_back("fast_fails", json::Value(breaker_fast_fails));
     breaker_obj.emplace_back("recovered", json::Value(breaker_recovered));
     doc.emplace_back("breaker", json::Value(std::move(breaker_obj)));
-    json::Object autoscale_obj;
-    autoscale_obj.emplace_back("scale_ups",
-                               json::Value(static_cast<std::uint64_t>(stats.scale_ups)));
-    autoscale_obj.emplace_back("scale_downs",
-                               json::Value(static_cast<std::uint64_t>(stats.scale_downs)));
-    autoscale_obj.emplace_back("converged", json::Value(converged));
-    autoscale_obj.emplace_back("converge_ms", json::Value(round3(converge_ms)));
-    doc.emplace_back("autoscale", json::Value(std::move(autoscale_obj)));
     json::Object faults_obj;
     faults_obj.emplace_back("network_injected", json::Value(net_injected));
     faults_obj.emplace_back("store_retries", json::Value(remote->retries()));
@@ -677,10 +637,8 @@ int main(int argc, char** argv) {
                               json::Value(round3(100.0 * chunk_hit_rate)));
     transfer_obj.emplace_back("bytes_moved", json::Value(hub_stats.chunk_bytes_moved));
     transfer_obj.emplace_back("bytes_deduped", json::Value(hub_stats.chunk_bytes_deduped));
-    transfer_obj.emplace_back(
-        "mib_moved_per_rebuild",
-        json::Value(round3(workloads::to_sim_mib(
-            static_cast<std::uint64_t>(moved_per_rebuild)))));
+    transfer_obj.emplace_back("rebuilds", json::Value(rebuilds));
+    transfer_obj.emplace_back("bytes_moved_per_rebuild", json::Value(bytes_per_rebuild));
     transfer_obj.emplace_back(
         "dedup_ratio",
         json::Value(round3(fleet.chunk_store() == nullptr

@@ -149,8 +149,7 @@ int torn_transfer_check(const std::string& blob) {
   for (const transfer::ChunkRef& chunk : manifest.value().chunks) {
     if (destination.get_chunk(chunk.digest).ok()) continue;
     auto healed = destination.repair_chunk(
-        chunk.digest, std::string_view(blob).substr(chunk.offset, chunk.size),
-        transfer::CodecId::lz);
+        chunk.digest, std::string_view(blob).substr(chunk.offset, chunk.size));
     if (!healed.ok()) {
       std::fprintf(stderr, "torn-check: repair_chunk failed\n");
       return 1;

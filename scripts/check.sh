@@ -10,7 +10,7 @@
 # speedup drops below 1.0x (on smaller hosts the bench prints a SKIP notice
 # instead — see docs/PERFORMANCE.md). The overload soak smoke gates the
 # robustness SLOs: tenant fairness under a hot-tenant flood, zero lost
-# tickets, circuit-breaker recovery, and autoscaler convergence. A second build
+# tickets, quota throttling, and circuit-breaker recovery. A second build
 # under ThreadSanitizer reruns the concurrency layer
 # (scheduler — including the SchedStress pool/cache/epoch tests —
 # registry, rebuild service, obs tracing/metrics, OCI layouts, whose
@@ -60,10 +60,10 @@ test -s "$build_dir/rebuild_trace.json"
 "$build_dir/bench/fleet_rebuild" --smoke
 # Overload soak smoke, SLO-gated: quiet-tenant p99 queue wait must stay within
 # 3x its solo baseline under a 10x hot-tenant flood, every ticket must reach a
-# terminal state (zero lost, zero failed despite the flaky network), the
-# breaker must trip and recover through half-open, and the autoscaler must
-# converge back to min workers. On 1-hardware-thread hosts the bench
-# auto-skips its heavy rows and records that provenance in the JSON.
+# terminal state (zero lost, zero failed despite the flaky network), a
+# capped tenant's burst must throttle, and the breaker must trip and recover
+# through half-open. On 1-hardware-thread hosts the bench auto-skips its
+# heavy rows and records that provenance in the JSON.
 "$build_dir/bench/soak" --smoke
 # Distribution smoke: delta-pushing each optimized image against its generic
 # parent must move < 40% of full-image bytes at a chunk dedup ratio > 2.5x
@@ -97,8 +97,8 @@ if [ "${COMT_SKIP_TSAN:-0}" != "1" ]; then
 
   echo "== tsan bench smoke =="
   "$tsan_dir/bench/service_throughput" --smoke
-  # The soak under TSAN: weighted-fair queues, token buckets, the autoscaler's
-  # resize path, and the breaker state machine all race for real here.
+  # The soak under TSAN: weighted-fair queues, token buckets, three workers
+  # per system pool, and the breaker state machine all race for real here.
   "$tsan_dir/bench/soak" --smoke
 fi
 

@@ -39,7 +39,6 @@ Fleet::Fleet(registry::Registry& hub, FleetOptions options)
     service.sleep_on_backoff = options_.sleep_on_backoff;
     service.default_tenant = options_.default_tenant;
     service.tenants = options_.tenants;
-    service.autoscale = options_.autoscale;
     service.faults = options_.faults;
     service.journals = journals_.get();
     service.store = store_;
@@ -121,8 +120,6 @@ FleetStats Fleet::stats() const {
   out.succeeded = metrics_->counter_value("service.succeeded");
   out.failed = metrics_->counter_value("service.failed");
   out.throttled = metrics_->counter_value("service.throttled");
-  out.scale_ups = metrics_->counter_value("service.autoscale.scale_up");
-  out.scale_downs = metrics_->counter_value("service.autoscale.scale_down");
   out.crashed = metrics_->counter_value("service.crashed");
   out.fleet_reused = metrics_->counter_value("service.fleet_reused");
   out.coordinator_errors = metrics_->counter_value("service.coordinator_errors");

@@ -63,8 +63,6 @@ struct FleetOptions {
   /// accordingly when configuring.
   service::TenantPolicy default_tenant;
   std::map<std::string, service::TenantPolicy> tenants;
-  /// Per-system worker-pool autoscaling, applied to every replica's pools.
-  service::AutoscaleOptions autoscale;
   /// Lease protocol timing (see LeaseCoordinator::Options).
   std::chrono::milliseconds lease_ttl{2000};
   std::chrono::milliseconds lease_max_wait{30000};
@@ -98,8 +96,6 @@ struct FleetStats {
   std::uint64_t succeeded = 0;
   std::uint64_t failed = 0;
   std::uint64_t throttled = 0;      ///< shed by per-tenant rate quotas
-  std::uint64_t scale_ups = 0;      ///< autoscaler grow events, fleet-wide
-  std::uint64_t scale_downs = 0;
   std::uint64_t crashed = 0;
   std::uint64_t fleet_reused = 0;   ///< jobs served from another replica's result
   std::uint64_t coordinator_errors = 0;

@@ -1,55 +1,18 @@
 #include "sched/thread_pool.hpp"
 
-#include <algorithm>
 #include <string>
 
 namespace comt::sched {
 
-ThreadPool::ThreadPool(std::size_t threads, std::size_t max_threads) {
+ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = 1;
-  if (max_threads < threads) max_threads = threads;
-  workers_.resize(max_threads);
-  target_ = threads;
+  workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_[i] = std::thread([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() { shutdown(); }
-
-std::size_t ThreadPool::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return target_;
-}
-
-void ThreadPool::resize(std::size_t threads) {
-  threads = std::clamp<std::size_t>(threads, 1, workers_.size());
-  std::lock_guard<std::mutex> resize(resize_mutex_);
-  std::size_t current = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_ || threads == target_) return;
-    current = target_;
-    if (threads < current) target_ = threads;
-  }
-  if (threads < current) {
-    wake_.notify_all();  // waiting retirees must see the new target and exit
-    return;
-  }
-  // A slot between the old and new target may still hold a thread from an
-  // earlier shrink. It is exiting (its index is >= target_, which stays
-  // below it until after this join), so the join is bounded by its last task.
-  for (std::size_t i = current; i < threads; ++i) {
-    if (workers_[i].joinable()) workers_[i].join();
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    target_ = threads;
-  }
-  for (std::size_t i = current; i < threads; ++i) {
-    workers_[i] = std::thread([this, i] { worker_loop(i); });
-  }
-}
 
 void ThreadPool::set_metrics(obs::MetricsRegistry* metrics, std::string_view prefix) {
   if (metrics == nullptr) {
@@ -102,18 +65,15 @@ void ThreadPool::submit_batch(std::vector<std::function<void()>> tasks) {
   wake_.notify_all();
 }
 
-void ThreadPool::worker_loop(std::size_t self) {
+void ThreadPool::worker_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    // Stop, or retire after a shrink moved the target below this slot.
-    if (stopping_ || self >= target_) return;
+    if (stopping_) return;
     if (queue_.empty()) {
       if (obs::Counter* parks = park_counter_.load(std::memory_order_acquire)) {
         parks->add();
       }
-      wake_.wait(lock, [this, self] {
-        return stopping_ || self >= target_ || !queue_.empty();
-      });
+      wake_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
       continue;
     }
     std::function<void()> task = std::move(queue_.front());
@@ -139,10 +99,6 @@ void ThreadPool::shutdown() {
     stopping_ = true;
   }
   wake_.notify_all();
-  // The resize lock orders this join after any in-flight resize: a resize
-  // that already passed its stopping_ check finishes spawning before we
-  // join, and every later resize sees stopping_ and no-ops.
-  std::lock_guard<std::mutex> resize(resize_mutex_);
   for (std::thread& worker : workers_) {
     if (worker.joinable()) worker.join();
   }

@@ -1,9 +1,10 @@
 // Thread pool backing the parallel rebuild engine and the rebuild service's
 // per-system workers.
 //
-// One FIFO task queue under one mutex. Idle workers wait on one condition
-// variable for "work, stop or shrink"; wait_idle() waits on a second one for
-// the count of queued plus running tasks to reach zero. submit_batch()
+// A fixed set of workers, spawned at construction and joined at shutdown,
+// over one FIFO task queue under one mutex. Idle workers wait on one
+// condition variable for "work or stop"; wait_idle() waits on a second one
+// for the count of queued plus running tasks to reach zero. submit_batch()
 // enqueues a whole batch under one lock acquisition and wakes every waiting
 // worker once — the DagScheduler dispatches each wave this way.
 //
@@ -30,9 +31,8 @@ namespace comt::sched {
 
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (at least 1). `max_threads` bounds how far
-  /// resize() can ever grow the pool (0 = `threads`, i.e. a fixed pool).
-  explicit ThreadPool(std::size_t threads, std::size_t max_threads = 0);
+  /// Spawns `threads` workers (at least 1), which run until shutdown().
+  explicit ThreadPool(std::size_t threads);
 
   /// Equivalent to shutdown().
   ~ThreadPool();
@@ -40,18 +40,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Current worker target (resize() moves it; retiring workers may still be
-  /// finishing their last task when this returns the new value).
-  std::size_t size() const;
-  std::size_t max_size() const { return workers_.size(); }
-
-  /// Retargets the pool to `threads` workers, clamped to [1, max_size()].
-  /// Growing joins any previously retired slot and spawns a fresh worker
-  /// into it; shrinking retires the highest slots — each retiree finishes its
-  /// current task and exits. The queue is shared, so no queued task is ever
-  /// dropped. Safe to call from any non-pool thread; concurrent resizes
-  /// serialize. No-op after shutdown().
-  void resize(std::size_t threads);
+  /// Number of workers.
+  std::size_t size() const { return workers_.size(); }
 
   /// Enqueues a task and wakes one waiting worker. No-op after shutdown().
   void submit(std::function<void()> task);
@@ -81,16 +71,15 @@ class ThreadPool {
   void set_metrics(obs::MetricsRegistry* metrics, std::string_view prefix = "sched.pool");
 
  private:
-  void worker_loop(std::size_t self);
+  void worker_loop();
   std::function<void()> instrument(std::function<void()> task);
 
-  // mutex_ guards the four members after the condition variables.
-  mutable std::mutex mutex_;
-  std::condition_variable wake_;  // work queued, stop, or a shrink
+  // mutex_ guards the three members after the condition variables.
+  std::mutex mutex_;
+  std::condition_variable wake_;  // work queued, or stop
   std::condition_variable idle_;  // outstanding_ reached zero
   std::deque<std::function<void()>> queue_;
   std::size_t outstanding_ = 0;  // queued + running
-  std::size_t target_ = 0;       // workers with index >= target_ retire
   bool stopping_ = false;
 
   std::atomic<std::uint64_t> executed_{0};
@@ -101,10 +90,8 @@ class ThreadPool {
   std::atomic<obs::Counter*> task_counter_{nullptr};
   std::atomic<obs::Counter*> park_counter_{nullptr};
 
-  // One slot per possible worker, sized once at construction and declared
-  // after everything a worker uses. resize() and shutdown() are the only
-  // code that spawns or joins; resize_mutex_ serializes them.
-  std::mutex resize_mutex_;
+  // Spawned by the constructor, joined by shutdown(); declared after
+  // everything a worker uses.
   std::vector<std::thread> workers_;
 };
 

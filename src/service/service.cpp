@@ -71,16 +71,6 @@ std::string tenant_display(const std::string& tenant) {
   return tenant.empty() ? "default" : tenant;
 }
 
-/// Pool-size gauge for one system, qualified by replica id when the service
-/// runs in a fleet (replicas share one registry, so bare fingerprints would
-/// overwrite each other).
-std::string workers_gauge_name(const std::string& replica_id,
-                               const std::string& fingerprint) {
-  std::string name = "service.autoscale.workers.";
-  if (!replica_id.empty()) name += replica_id + ".";
-  return name + fingerprint;
-}
-
 /// Releases the hub pins a journaled attempt takes on its source image — on
 /// every exit path, including an injected crash unwinding.
 class HubPinGuard {
@@ -153,18 +143,10 @@ struct RebuildService::TenantQueue {
 /// round-robin (pick_job_locked).
 struct RebuildService::SystemState {
   TargetSystem target;
-  std::string fingerprint;
   std::unique_ptr<sched::ThreadPool> pool;
   std::map<std::string, TenantQueue> tenants;
   std::deque<std::string> drr;  ///< round-robin ring of active tenants
   std::size_t queued = 0;       ///< jobs across all tenant queues
-  /// Queue wait observed since the autoscaler's previous tick.
-  double wait_window_ms = 0;
-  std::size_t wait_window_jobs = 0;
-  /// Autoscaler hysteresis: ticks to hold after a scale event, and how many
-  /// consecutive quiet ticks the backlog has stayed below the down threshold.
-  int cooldown_ticks = 0;
-  int quiet_ticks = 0;
 };
 
 /// Per-tenant admission bookkeeping: the resolved policy plus the token
@@ -180,17 +162,11 @@ RebuildService::RebuildService(registry::Registry& hub, ServiceOptions options)
   if (options_.queue_capacity == 0) options_.queue_capacity = 1;
   if (options_.workers_per_system == 0) options_.workers_per_system = 1;
   if (options_.max_attempts < 1) options_.max_attempts = 1;
-  AutoscaleOptions& scale = options_.autoscale;
-  if (scale.min_workers == 0) scale.min_workers = 1;
-  if (scale.max_workers < scale.min_workers) scale.max_workers = scale.min_workers;
-  if (scale.interval_ms <= 0) scale.interval_ms = 1;
-  if (scale.cooldown_periods < 1) scale.cooldown_periods = 1;
   metrics_ = options_.metrics != nullptr ? options_.metrics : &own_metrics_;
   if (options_.journals != nullptr) options_.journals->set_metrics(metrics_);
   // Metrics before attach, so hydrated entries count in compile_cache.*.
   cache_.set_metrics(metrics_);
   if (options_.store != nullptr) cache_.attach(options_.store);
-  if (scale.enabled) autoscaler_ = std::thread([this] { autoscale_loop(); });
 }
 
 RebuildService::~RebuildService() { drain(); }
@@ -212,18 +188,8 @@ Status RebuildService::add_system(std::string fingerprint, TargetSystem target) 
   }
   auto state = std::make_unique<SystemState>();
   state->target = std::move(target);
-  state->fingerprint = fingerprint;
-  std::size_t workers = options_.workers_per_system;
-  std::size_t max_workers = workers;
-  if (options_.autoscale.enabled) {
-    workers = std::max(options_.autoscale.min_workers,
-                       std::min(workers, options_.autoscale.max_workers));
-    max_workers = options_.autoscale.max_workers;
-  }
-  state->pool = std::make_unique<sched::ThreadPool>(workers, max_workers);
+  state->pool = std::make_unique<sched::ThreadPool>(options_.workers_per_system);
   state->pool->set_metrics(metrics_, "service.pool");
-  metrics_->gauge(workers_gauge_name(options_.replica_id, fingerprint))
-      .set(static_cast<double>(workers));
   systems_.emplace(std::move(fingerprint), std::move(state));
   return Status::success();
 }
@@ -432,8 +398,6 @@ void RebuildService::run_next(SystemState& sys) {
     metrics_
         ->histogram("service.tenant." + tenant_display(job->tenant) + ".queue_wait_ms")
         .observe(queued.queue_ms);
-    sys.wait_window_ms += queued.queue_ms;
-    ++sys.wait_window_jobs;
     if (job->request.deadline_ms > 0 && queued.queue_ms > job->request.deadline_ms) {
       counter("service.expired").add();
       finalize_locked(*job, JobState::expired,
@@ -763,7 +727,6 @@ void RebuildService::drain() {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     draining_ = true;
-    stop_autoscaler_ = true;
     for (auto& [name, sys] : systems_) {
       // Fail queued jobs in queue order; their runner tasks will pop nothing.
       for (auto& [tenant, tq] : sys->tenants) {
@@ -779,9 +742,7 @@ void RebuildService::drain() {
       }
     }
   }
-  autoscale_cv_.notify_all();
   start_cv_.notify_all();  // wake runners held by pause()
-  if (autoscaler_.joinable()) autoscaler_.join();
   for (auto& [name, sys] : systems_) sys->pool->wait_idle();
 }
 
@@ -809,8 +770,6 @@ ServiceStats RebuildService::stats() const {
   out.compile_cache_hydrated = metrics_->counter_value("compile_cache.hydrated");
   out.compile_cache_remote_hits = metrics_->counter_value("compile_cache.remote_hits");
   out.throttled = metrics_->counter_value("service.throttled");
-  out.scale_ups = metrics_->counter_value("service.autoscale.scale_up");
-  out.scale_downs = metrics_->counter_value("service.autoscale.scale_down");
   out.queue_ms = metrics_->gauge_value("service.queue_ms");
   out.pull_ms = metrics_->gauge_value("service.pull_ms");
   out.rebuild_ms = metrics_->gauge_value("service.rebuild_ms");
@@ -826,75 +785,6 @@ ServiceStats RebuildService::stats() const {
     out.tenants.emplace(tenant_display(tenant), slice);
   }
   return out;
-}
-
-void RebuildService::autoscale_loop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const auto interval =
-      std::chrono::duration<double, std::milli>(options_.autoscale.interval_ms);
-  while (!stop_autoscaler_) {
-    autoscale_cv_.wait_for(lock, interval, [this] { return stop_autoscaler_; });
-    if (stop_autoscaler_) return;
-    if (paused_) continue;  // a paused service has a deliberately frozen queue
-    lock.unlock();
-    autoscale_tick();
-    lock.lock();
-  }
-}
-
-void RebuildService::autoscale_tick() {
-  // Decide under the lock, resize outside it: ThreadPool::resize joins
-  // retired workers, and a retiring worker may be blocked on mutex_ inside
-  // run_next — resizing while holding the lock would deadlock on it.
-  struct Decision {
-    SystemState* sys;
-    std::size_t workers;
-    bool up;
-  };
-  std::vector<Decision> decisions;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const AutoscaleOptions& scale = options_.autoscale;
-    for (auto& [name, sys] : systems_) {
-      const std::size_t workers = sys->pool->size();
-      const double depth = static_cast<double>(sys->queued);
-      const double mean_wait =
-          sys->wait_window_jobs > 0 ? sys->wait_window_ms / sys->wait_window_jobs : 0;
-      sys->wait_window_ms = 0;
-      sys->wait_window_jobs = 0;
-      if (sys->cooldown_ticks > 0) {
-        --sys->cooldown_ticks;
-        continue;
-      }
-      const bool pressure =
-          depth >= scale.up_backlog_per_worker * static_cast<double>(workers) &&
-          depth > 0;
-      const bool slow = scale.up_queue_wait_ms > 0 && depth > 0 &&
-                        mean_wait >= scale.up_queue_wait_ms;
-      if ((pressure || slow) && workers < scale.max_workers) {
-        sys->quiet_ticks = 0;
-        sys->cooldown_ticks = scale.cooldown_periods;
-        decisions.push_back({sys.get(), workers + 1, /*up=*/true});
-        continue;
-      }
-      if (depth <= scale.down_backlog_per_worker * static_cast<double>(workers)) {
-        if (++sys->quiet_ticks >= scale.cooldown_periods && workers > scale.min_workers) {
-          sys->quiet_ticks = 0;
-          sys->cooldown_ticks = scale.cooldown_periods;
-          decisions.push_back({sys.get(), workers - 1, /*up=*/false});
-        }
-      } else {
-        sys->quiet_ticks = 0;
-      }
-    }
-  }
-  for (const Decision& decision : decisions) {
-    decision.sys->pool->resize(decision.workers);
-    counter(decision.up ? "service.autoscale.scale_up" : "service.autoscale.scale_down")
-        .add();
-    metrics_->gauge(workers_gauge_name(options_.replica_id, decision.sys->fingerprint))
-        .set(static_cast<double>(decision.workers));
-  }
 }
 
 std::size_t RebuildService::queue_depth() const {

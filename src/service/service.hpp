@@ -50,7 +50,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "core/backend.hpp"
@@ -117,33 +116,6 @@ struct TenantPolicy {
   /// Bucket refill rate in submissions/second. With quota_burst > 0 and rate
   /// 0 the tenant gets a hard lifetime cap of quota_burst submissions.
   double quota_rate = 0;
-};
-
-/// Worker-pool autoscaling: each per-system pool tracks its backlog between
-/// min_workers and max_workers. The controller samples queue depth and the
-/// queue wait observed since the previous tick every interval_ms, scales up
-/// one worker when the backlog-per-worker or recent queue wait crosses the
-/// up thresholds, and scales down one worker only after the backlog has sat
-/// below the down threshold for `cooldown_periods` consecutive ticks — the
-/// hysteresis that keeps a bursty queue from flapping the pool. Scale events
-/// land in "service.autoscale.scale_up"/"scale_down" and each pool's current
-/// size in the "service.autoscale.workers.<system>" gauge (qualified as
-/// "….<replica_id>.<system>" when the service runs as a fleet replica).
-struct AutoscaleOptions {
-  bool enabled = false;
-  std::size_t min_workers = 1;
-  std::size_t max_workers = 4;
-  double interval_ms = 20;
-  /// Scale up when queue depth >= up_backlog_per_worker * pool size…
-  double up_backlog_per_worker = 2.0;
-  /// …or when the mean queue wait observed since the last tick exceeds this
-  /// (0 disables the wait trigger).
-  double up_queue_wait_ms = 0;
-  /// Scale-down candidate when queue depth <= down_backlog_per_worker * size.
-  double down_backlog_per_worker = 0.25;
-  /// Consecutive quiet ticks required before shrinking, and the minimum gap
-  /// (in ticks) between any two scale events on one pool.
-  int cooldown_periods = 3;
 };
 
 /// Structured per-job diagnostics, shared by all coalesced tickets.
@@ -238,16 +210,14 @@ class FleetCoordinator {
 struct ServiceOptions {
   /// Bound on jobs queued across all systems (running jobs do not count).
   std::size_t queue_capacity = 64;
-  /// Worker threads per registered target system. With autoscaling enabled
-  /// this is the initial size, clamped into [min_workers, max_workers].
+  /// Worker threads per registered target system; each system's pool runs
+  /// this many for the service's whole life.
   std::size_t workers_per_system = 2;
   /// Admission policy for tenants not listed in `tenants`. The default —
   /// weight 1, no quota — reproduces the pre-tenant behaviour exactly.
   TenantPolicy default_tenant;
   /// Per-tenant policy overrides, keyed by SubmitRequest::tenant.
   std::map<std::string, TenantPolicy> tenants;
-  /// Per-system worker-pool autoscaling (off by default: fixed pools).
-  AutoscaleOptions autoscale;
   /// `threads` passed to each comtainer_rebuild (intra-job parallelism).
   std::size_t rebuild_threads = 1;
   /// Executions of pull→rebuild→push per job before the failure is permanent.
@@ -346,8 +316,6 @@ struct ServiceStats {
   std::uint64_t failed = 0;
   std::uint64_t expired = 0;
   std::uint64_t drained = 0;
-  std::uint64_t scale_ups = 0;    ///< autoscaler grow events across all pools
-  std::uint64_t scale_downs = 0;  ///< autoscaler shrink events
   std::uint64_t retries = 0;  ///< backoff delays taken across all jobs
   std::uint64_t crashed = 0;  ///< jobs that died at an injected crash site
   std::uint64_t fleet_reused = 0;  ///< jobs served from another replica's result
@@ -463,8 +431,6 @@ class RebuildService {
   /// The record of `ticket`; Errc::not_found for a ticket never issued.
   Result<TicketRecord> ticket_locked(Ticket ticket) const;
   Result<TicketStatus> status_locked(Ticket ticket) const;
-  void autoscale_loop();
-  void autoscale_tick();
   obs::Counter& counter(std::string_view name) { return metrics_->counter(name); }
   obs::Counter& tenant_counter(const std::string& tenant, std::string_view which);
 
@@ -493,12 +459,6 @@ class RebuildService {
   std::size_t running_count_ = 0;
   bool paused_ = false;
   bool draining_ = false;
-
-  /// Autoscale controller. Started by the constructor when enabled, stopped
-  /// by drain(); ticks sample each system's backlog and queue wait.
-  std::thread autoscaler_;
-  std::condition_variable autoscale_cv_;  ///< waits on mutex_; drain() wakes it
-  bool stop_autoscaler_ = false;
 };
 
 }  // namespace comt::service

@@ -37,13 +37,13 @@ constexpr std::string_view kManifestMagic = "CMCM1";  // coMtainer chunk manifes
 }  // namespace
 
 Status ChunkerParams::validate() const {
-  if (avg_size == 0 || (avg_size & (avg_size - 1)) != 0) {
+  if (avg_bytes == 0 || (avg_bytes & (avg_bytes - 1)) != 0) {
     return make_error(Errc::invalid_argument,
-                      "chunker: avg_size must be a nonzero power of two");
+                      "chunker: avg_bytes must be a nonzero power of two");
   }
-  if (min_size == 0 || min_size > avg_size || avg_size > max_size) {
+  if (min_bytes == 0 || min_bytes > avg_bytes || avg_bytes > max_bytes) {
     return make_error(Errc::invalid_argument,
-                      "chunker: need 0 < min_size <= avg_size <= max_size");
+                      "chunker: need 0 < min_bytes <= avg_bytes <= max_bytes");
   }
   return Status::success();
 }
@@ -51,14 +51,14 @@ Status ChunkerParams::validate() const {
 std::vector<std::pair<std::uint64_t, std::uint32_t>> chunk_boundaries(
     std::string_view data, const ChunkerParams& params) {
   const std::array<std::uint64_t, 256>& gear = gear_table();
-  const std::uint64_t mask = params.avg_size - 1;
+  const std::uint64_t mask = params.avg_bytes - 1;
   std::vector<std::pair<std::uint64_t, std::uint32_t>> out;
   std::size_t start = 0;
   while (start < data.size()) {
     const std::size_t remaining = data.size() - start;
     std::size_t cut = remaining;  // the tail is its own (possibly short) chunk
-    if (remaining > params.min_size) {
-      const std::size_t limit = remaining < params.max_size ? remaining : params.max_size;
+    if (remaining > params.min_bytes) {
+      const std::size_t limit = remaining < params.max_bytes ? remaining : params.max_bytes;
       // The hash restarts at every chunk start, so a boundary decision depends
       // only on the ~64 bytes behind it (the shift ages old bytes out of the
       // 64-bit state). That locality is the resync property.
@@ -67,7 +67,7 @@ std::vector<std::pair<std::uint64_t, std::uint32_t>> chunk_boundaries(
       cut = limit;
       for (; pos < limit; ++pos) {
         hash = (hash << 1) + gear[static_cast<unsigned char>(data[start + pos])];
-        if (pos + 1 >= params.min_size && (hash & mask) == 0) {
+        if (pos + 1 >= params.min_bytes && (hash & mask) == 0) {
           cut = pos + 1;
           break;
         }

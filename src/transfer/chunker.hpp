@@ -24,15 +24,15 @@
 
 namespace comt::transfer {
 
-/// Chunk-size bounds. `avg_size` must be a power of two (it becomes the
+/// Chunk-size bounds. `avg_bytes` must be a power of two (it becomes the
 /// boundary mask); min <= avg <= max is required. The defaults target the
 /// simulated-image scale (layers of tens to hundreds of KiB): small enough
 /// that one recompiled file in a tar layer dirties O(1) chunks, large enough
 /// that manifest overhead stays a few percent.
 struct ChunkerParams {
-  std::size_t min_size = 512;
-  std::size_t avg_size = 2048;
-  std::size_t max_size = 16384;
+  std::size_t min_bytes = 512;
+  std::size_t avg_bytes = 2048;
+  std::size_t max_bytes = 16384;
 
   /// Rejects non-power-of-two averages and inverted bounds.
   Status validate() const;

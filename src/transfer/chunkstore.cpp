@@ -3,12 +3,12 @@
 #include <utility>
 
 #include "support/sha256.hpp"
+#include "transfer/codec.hpp"
 
 namespace comt::transfer {
 namespace {
 
 constexpr std::string_view kAlgorithmPrefix = "sha256:";
-constexpr std::string_view kCodecsKeySuffix = "codecs";
 
 }  // namespace
 
@@ -19,7 +19,6 @@ ChunkStore::ChunkStore(std::shared_ptr<store::KvStore> backend, Options options)
     : backend_(std::move(backend)), options_(std::move(options)) {
   COMT_ASSERT(backend_ != nullptr, "chunk store: null backend");
   COMT_ASSERT(options_.params.validate().ok(), "chunk store: invalid chunker params");
-  if (options_.codecs.empty()) options_.codecs = supported_codecs();
   // Hydrate the refcount index from manifests already in the backend — a
   // reopened DiskStore-backed chunk store must GC exactly like a fresh one.
   // Damaged manifests are skipped; their chunks stay unreferenced and a
@@ -34,9 +33,6 @@ ChunkStore::ChunkStore(std::shared_ptr<store::KvStore> backend, Options options)
     for (const ChunkRef& chunk : manifest->chunks) ++refcounts_[chunk.digest];
     manifests_.emplace(manifest->blob_digest, std::move(manifest));
   }
-  // Publish (or refresh) the codec advertisement peers negotiate against.
-  (void)backend_->put(options_.prefix + std::string(kCodecsKeySuffix),
-                      serialize_codec_list(options_.codecs));
 }
 
 Result<std::string> ChunkStore::digest_hex(std::string_view digest) {
@@ -79,7 +75,6 @@ void ChunkStore::note_miss(std::uint64_t stored_bytes) const {
 
 Result<ChunkManifest> ChunkStore::put_blob(const std::string& bytes) {
   COMT_TRY(ChunkManifest built, build_manifest(bytes, options_.params));
-  const CodecId codec = options_.codecs.front();
   {
     std::lock_guard<std::mutex> lock(mutex_);
     auto existing = manifests_.find(built.blob_digest);
@@ -91,8 +86,7 @@ Result<ChunkManifest> ChunkStore::put_blob(const std::string& bytes) {
   }
   for (const ChunkRef& chunk : built.chunks) {
     COMT_TRY(std::uint64_t wrote,
-             put_chunk(chunk.digest, std::string_view(bytes).substr(chunk.offset, chunk.size),
-                       codec));
+             put_chunk(chunk.digest, std::string_view(bytes).substr(chunk.offset, chunk.size)));
     (void)wrote;
   }
   COMT_TRY_STATUS(put_manifest(built));
@@ -100,7 +94,7 @@ Result<ChunkManifest> ChunkStore::put_blob(const std::string& bytes) {
 }
 
 Result<std::uint64_t> ChunkStore::put_chunk(std::string_view chunk_digest,
-                                            std::string_view raw, CodecId codec) {
+                                            std::string_view raw) {
   COMT_TRY(std::string hex, digest_hex(chunk_digest));
   (void)hex;
   const std::string key = chunk_key(chunk_digest);
@@ -108,7 +102,7 @@ Result<std::uint64_t> ChunkStore::put_chunk(std::string_view chunk_digest,
     note_hit(raw.size());
     return std::uint64_t{0};
   }
-  std::string framed = frame_chunk(codec, raw);
+  std::string framed = frame_chunk(raw);
   const std::uint64_t wire = framed.size();
   COMT_TRY_STATUS(backend_->put(key, std::move(framed)));
   note_miss(wire);
@@ -116,14 +110,14 @@ Result<std::uint64_t> ChunkStore::put_chunk(std::string_view chunk_digest,
 }
 
 Result<std::uint64_t> ChunkStore::repair_chunk(std::string_view chunk_digest,
-                                               std::string_view raw, CodecId codec) {
+                                               std::string_view raw) {
   COMT_TRY(std::string hex, digest_hex(chunk_digest));
   (void)hex;
   if (std::string(kAlgorithmPrefix) + Sha256::hex_digest(raw) != chunk_digest) {
     return make_error(Errc::invalid_argument,
                       "chunk repair: bytes do not hash to " + std::string(chunk_digest));
   }
-  std::string framed = frame_chunk(codec, raw);
+  std::string framed = frame_chunk(raw);
   const std::uint64_t wire = framed.size();
   COMT_TRY_STATUS(backend_->put(chunk_key(chunk_digest), std::move(framed)));
   return wire;
@@ -244,12 +238,6 @@ void ChunkStore::unpin_blob(std::string_view blob_digest) {
 bool ChunkStore::is_pinned(std::string_view blob_digest) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return pins_.count(std::string(blob_digest)) != 0;
-}
-
-std::vector<CodecId> ChunkStore::advertised_codecs() const {
-  auto bytes = backend_->get(options_.prefix + std::string(kCodecsKeySuffix));
-  if (!bytes.ok()) return {};
-  return parse_codec_list(bytes.value());
 }
 
 std::uint64_t ChunkStore::stored_chunk_bytes() const {

@@ -4,7 +4,6 @@
 //
 //   <prefix>chunk/sha256/<hex>     — one framed chunk (codec.hpp frame)
 //   <prefix>manifest/sha256/<hex>  — the blob's chunk manifest
-//   <prefix>codecs                 — this store's codec advertisement
 //
 // in any KvStore backend. Two blobs that share content share chunks: putting
 // an optimized image layer next to its generic parent stores only the chunks
@@ -40,7 +39,6 @@
 #include "store/store.hpp"
 #include "support/error.hpp"
 #include "transfer/chunker.hpp"
-#include "transfer/codec.hpp"
 
 namespace comt::transfer {
 
@@ -48,18 +46,15 @@ class ChunkStore {
  public:
   struct Options {
     ChunkerParams params;
-    /// Codecs this store accepts (advertised under the codecs key) in
-    /// descending preference; the first entry encodes local put_blob writes.
-    std::vector<CodecId> codecs = supported_codecs();
     /// Keyspace prefix inside the backend; several ChunkStores and other
     /// keyspaces can share one store.
     std::string prefix = "transfer/";
   };
 
   /// Opens (or creates) a chunk store over `backend`, hydrating the refcount
-  /// index from any manifests already stored and publishing the codec
-  /// advertisement. Constructing over a RemoteStore makes every chunk move a
-  /// wire transfer riding that store's retry/breaker machinery.
+  /// index from any manifests already stored. Constructing over a RemoteStore
+  /// makes every chunk move a wire transfer riding that store's retry/breaker
+  /// machinery.
   explicit ChunkStore(std::shared_ptr<store::KvStore> backend);
   ChunkStore(std::shared_ptr<store::KvStore> backend, Options options);
 
@@ -96,11 +91,9 @@ class ChunkStore {
 
   bool contains_chunk(std::string_view chunk_digest) const;
 
-  /// Stores one chunk framed under `codec` (identity fallback applies).
-  /// Returns the framed (wire) size written; an already-present chunk is left
-  /// alone and returns 0.
-  Result<std::uint64_t> put_chunk(std::string_view chunk_digest, std::string_view raw,
-                                  CodecId codec);
+  /// Stores one chunk, framed by frame_chunk. Returns the framed (wire) size
+  /// written; an already-present chunk is left alone and returns 0.
+  Result<std::uint64_t> put_chunk(std::string_view chunk_digest, std::string_view raw);
 
   /// Unframes, decodes and digest-verifies one chunk. `wire_bytes`, when
   /// non-null, receives the framed stored size (what a transfer moves).
@@ -110,16 +103,11 @@ class ChunkStore {
   /// Unconditionally re-writes one chunk, healing a torn or bit-flipped
   /// stored frame that put_chunk's dedup probe would otherwise keep trusting.
   /// `raw` must hash to `chunk_digest`. Returns the framed size written.
-  Result<std::uint64_t> repair_chunk(std::string_view chunk_digest, std::string_view raw,
-                                     CodecId codec);
+  Result<std::uint64_t> repair_chunk(std::string_view chunk_digest, std::string_view raw);
 
   /// Records `manifest`, bumping chunk refcounts when it is new. The chunks
   /// themselves must already be stored (push moves chunks first).
   Status put_manifest(const ChunkManifest& manifest);
-
-  /// The destination's advertised codec list, read back from the backend —
-  /// what a pushing peer negotiates against. Empty when damaged or absent.
-  std::vector<CodecId> advertised_codecs() const;
 
   // ---- accounting -----------------------------------------------------------
 
@@ -143,7 +131,6 @@ class ChunkStore {
   void note_transfer_moved(std::uint64_t wire_bytes) const;
 
   const ChunkerParams& params() const { return options_.params; }
-  const std::vector<CodecId>& codecs() const { return options_.codecs; }
   store::KvStore& backend() { return *backend_; }
   const std::shared_ptr<store::KvStore>& backend_ptr() const { return backend_; }
 

@@ -1,6 +1,7 @@
 #include "transfer/codec.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "store/wire.hpp"
 
@@ -25,155 +26,106 @@ std::uint32_t hash4(const char* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
-class IdentityCodec final : public Codec {
- public:
-  CodecId id() const override { return CodecId::identity; }
-  std::string encode(std::string_view raw) const override { return std::string(raw); }
-  Result<std::string> decode(std::string_view encoded, std::size_t raw_size) const override {
-    if (encoded.size() != raw_size) {
-      return make_error(Errc::corrupt, "identity codec: size mismatch");
+std::string lz_encode(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size() / 2 + 16);
+  const std::size_t n = raw.size();
+  std::vector<std::int64_t> head(std::size_t{1} << kHashBits, -1);
+  std::size_t i = 0;
+  std::size_t literal_start = 0;
+  auto flush_literals = [&](std::size_t end) {
+    std::size_t pos = literal_start;
+    while (pos < end) {
+      const std::size_t run = std::min<std::size_t>(end - pos, 128);
+      out.push_back(static_cast<char>(run - 1));
+      out.append(raw.substr(pos, run));
+      pos += run;
     }
-    return std::string(encoded);
+  };
+  while (i + kMinMatch <= n) {
+    const std::uint32_t h = hash4(raw.data() + i);
+    const std::int64_t candidate = head[h];
+    head[h] = static_cast<std::int64_t>(i);
+    std::size_t match_len = 0;
+    if (candidate >= 0 && i - static_cast<std::size_t>(candidate) <= kWindow) {
+      const char* a = raw.data() + candidate;
+      const char* b = raw.data() + i;
+      const std::size_t limit = std::min(n - i, kMaxMatch);
+      std::size_t len = 0;
+      while (len < limit && a[len] == b[len]) ++len;
+      if (len >= kMinMatch) match_len = len;
+    }
+    if (match_len == 0) {
+      ++i;
+      continue;
+    }
+    flush_literals(i);
+    const std::uint16_t distance =
+        static_cast<std::uint16_t>(i - static_cast<std::size_t>(candidate));
+    out.push_back(static_cast<char>(0x80 | (match_len - kMinMatch)));
+    out.push_back(static_cast<char>(distance & 0xFF));
+    out.push_back(static_cast<char>(distance >> 8));
+    // Seed the table through the matched region so back-to-back repeats of
+    // the same data keep finding long matches (capped by kMaxMatch anyway).
+    const std::size_t seed_end = std::min(i + match_len, n >= kMinMatch ? n - kMinMatch + 1 : 0);
+    for (std::size_t k = i + 1; k < seed_end; ++k) {
+      head[hash4(raw.data() + k)] = static_cast<std::int64_t>(k);
+    }
+    i += match_len;
+    literal_start = i;
   }
-};
+  flush_literals(n);
+  return out;
+}
 
-class LzCodec final : public Codec {
- public:
-  CodecId id() const override { return CodecId::lz; }
-
-  std::string encode(std::string_view raw) const override {
-    std::string out;
-    out.reserve(raw.size() / 2 + 16);
-    const std::size_t n = raw.size();
-    std::vector<std::int64_t> head(std::size_t{1} << kHashBits, -1);
-    std::size_t i = 0;
-    std::size_t literal_start = 0;
-    auto flush_literals = [&](std::size_t end) {
-      std::size_t pos = literal_start;
-      while (pos < end) {
-        const std::size_t run = std::min<std::size_t>(end - pos, 128);
-        out.push_back(static_cast<char>(run - 1));
-        out.append(raw.substr(pos, run));
-        pos += run;
+Result<std::string> lz_decode(std::string_view encoded, std::size_t raw_size) {
+  std::string out;
+  out.reserve(raw_size);
+  std::size_t pos = 0;
+  while (pos < encoded.size()) {
+    const unsigned char op = static_cast<unsigned char>(encoded[pos++]);
+    if ((op & 0x80) == 0) {
+      const std::size_t run = std::size_t{op} + 1;
+      if (pos + run > encoded.size()) {
+        return make_error(Errc::corrupt, "lz codec: truncated literal run");
       }
-    };
-    while (i + kMinMatch <= n) {
-      const std::uint32_t h = hash4(raw.data() + i);
-      const std::int64_t candidate = head[h];
-      head[h] = static_cast<std::int64_t>(i);
-      std::size_t match_len = 0;
-      if (candidate >= 0 && i - static_cast<std::size_t>(candidate) <= kWindow) {
-        const char* a = raw.data() + candidate;
-        const char* b = raw.data() + i;
-        const std::size_t limit = std::min(n - i, kMaxMatch);
-        std::size_t len = 0;
-        while (len < limit && a[len] == b[len]) ++len;
-        if (len >= kMinMatch) match_len = len;
-      }
-      if (match_len == 0) {
-        ++i;
-        continue;
-      }
-      flush_literals(i);
-      const std::uint16_t distance =
-          static_cast<std::uint16_t>(i - static_cast<std::size_t>(candidate));
-      out.push_back(static_cast<char>(0x80 | (match_len - kMinMatch)));
-      out.push_back(static_cast<char>(distance & 0xFF));
-      out.push_back(static_cast<char>(distance >> 8));
-      // Seed the table through the matched region so back-to-back repeats of
-      // the same data keep finding long matches (capped by kMaxMatch anyway).
-      const std::size_t seed_end = std::min(i + match_len, n >= kMinMatch ? n - kMinMatch + 1 : 0);
-      for (std::size_t k = i + 1; k < seed_end; ++k) {
-        head[hash4(raw.data() + k)] = static_cast<std::int64_t>(k);
-      }
-      i += match_len;
-      literal_start = i;
+      out.append(encoded.substr(pos, run));
+      pos += run;
+      continue;
     }
-    flush_literals(n);
-    return out;
+    const std::size_t len = std::size_t{op & 0x7Fu} + kMinMatch;
+    if (pos + 2 > encoded.size()) {
+      return make_error(Errc::corrupt, "lz codec: truncated match token");
+    }
+    const std::size_t distance =
+        static_cast<std::size_t>(static_cast<unsigned char>(encoded[pos])) |
+        static_cast<std::size_t>(static_cast<unsigned char>(encoded[pos + 1])) << 8;
+    pos += 2;
+    if (distance == 0 || distance > out.size()) {
+      return make_error(Errc::corrupt, "lz codec: match distance out of range");
+    }
+    for (std::size_t k = 0; k < len; ++k) {
+      out.push_back(out[out.size() - distance]);  // overlap-safe byte copy
+    }
   }
-
-  Result<std::string> decode(std::string_view encoded, std::size_t raw_size) const override {
-    std::string out;
-    out.reserve(raw_size);
-    std::size_t pos = 0;
-    while (pos < encoded.size()) {
-      const unsigned char op = static_cast<unsigned char>(encoded[pos++]);
-      if ((op & 0x80) == 0) {
-        const std::size_t run = std::size_t{op} + 1;
-        if (pos + run > encoded.size()) {
-          return make_error(Errc::corrupt, "lz codec: truncated literal run");
-        }
-        out.append(encoded.substr(pos, run));
-        pos += run;
-        continue;
-      }
-      const std::size_t len = std::size_t{op & 0x7Fu} + kMinMatch;
-      if (pos + 2 > encoded.size()) {
-        return make_error(Errc::corrupt, "lz codec: truncated match token");
-      }
-      const std::size_t distance =
-          static_cast<std::size_t>(static_cast<unsigned char>(encoded[pos])) |
-          static_cast<std::size_t>(static_cast<unsigned char>(encoded[pos + 1])) << 8;
-      pos += 2;
-      if (distance == 0 || distance > out.size()) {
-        return make_error(Errc::corrupt, "lz codec: match distance out of range");
-      }
-      for (std::size_t k = 0; k < len; ++k) {
-        out.push_back(out[out.size() - distance]);  // overlap-safe byte copy
-      }
-    }
-    if (out.size() != raw_size) {
-      return make_error(Errc::corrupt, "lz codec: decoded size mismatch");
-    }
-    return out;
+  if (out.size() != raw_size) {
+    return make_error(Errc::corrupt, "lz codec: decoded size mismatch");
   }
-};
-
-const IdentityCodec kIdentity;
-const LzCodec kLz;
+  return out;
+}
 
 }  // namespace
 
-const char* codec_name(CodecId id) {
-  switch (id) {
-    case CodecId::identity: return "identity";
-    case CodecId::lz: return "lz";
-  }
-  return "unknown";
-}
-
-const Codec* find_codec(CodecId id) {
-  switch (id) {
-    case CodecId::identity: return &kIdentity;
-    case CodecId::lz: return &kLz;
-  }
-  return nullptr;
-}
-
-std::vector<CodecId> supported_codecs() { return {CodecId::lz, CodecId::identity}; }
-
-Result<CodecId> negotiate(const std::vector<CodecId>& preferred,
-                          const std::vector<CodecId>& remote) {
-  for (CodecId want : preferred) {
-    if (std::find(remote.begin(), remote.end(), want) != remote.end()) return want;
-  }
-  return make_error(Errc::unsupported, "transfer: no common codec with destination");
-}
-
-std::string frame_chunk(CodecId codec, std::string_view raw) {
-  const Codec* impl = find_codec(codec);
-  std::string encoded = impl != nullptr ? impl->encode(raw) : std::string(raw);
-  if (impl == nullptr || encoded.size() >= raw.size()) {
-    codec = CodecId::identity;
-    encoded = std::string(raw);
-  }
+std::string frame_chunk(std::string_view raw) {
+  const std::string encoded = lz_encode(raw);
+  const bool shrunk = encoded.size() < raw.size();
+  const std::string_view payload = shrunk ? std::string_view(encoded) : raw;
   std::string out;
-  out.reserve(13 + encoded.size());
-  out.push_back(static_cast<char>(codec));
+  out.reserve(13 + payload.size());
+  out.push_back(static_cast<char>(shrunk ? CodecId::lz : CodecId::identity));
   store::wire::put_u32(out, static_cast<std::uint32_t>(raw.size()));
   store::wire::put_u64(out, store::wire::fnv1a64(raw));
-  out.append(encoded);
+  out.append(payload);
   return out;
 }
 
@@ -185,13 +137,24 @@ Result<std::string> unframe_chunk(std::string_view what, std::string_view framed
   store::wire::Reader header{framed.substr(1, 12)};
   const std::uint32_t raw_size = header.u32();
   const std::uint64_t checksum = header.u64();
-  const Codec* impl = find_codec(codec);
-  if (impl == nullptr) {
-    return make_error(Errc::unsupported, "chunk frame: unknown codec id " +
-                                             std::to_string(static_cast<unsigned>(codec)) +
-                                             " for " + std::string(what));
+  const std::string_view payload = framed.substr(13);
+  Result<std::string> raw = std::string();
+  switch (codec) {
+    case CodecId::identity:
+      if (payload.size() != raw_size) {
+        raw = make_error(Errc::corrupt, "identity codec: size mismatch");
+      } else {
+        raw = std::string(payload);
+      }
+      break;
+    case CodecId::lz:
+      raw = lz_decode(payload, raw_size);
+      break;
+    default:
+      return make_error(Errc::unsupported, "chunk frame: unknown codec id " +
+                                               std::to_string(static_cast<unsigned>(codec)) +
+                                               " for " + std::string(what));
   }
-  auto raw = impl->decode(framed.substr(13), raw_size);
   if (!raw.ok()) {
     return make_error(Errc::corrupt,
                       "chunk decode failed for " + std::string(what) + ": " +
@@ -201,29 +164,6 @@ Result<std::string> unframe_chunk(std::string_view what, std::string_view framed
     return make_error(Errc::corrupt, "chunk checksum mismatch: " + std::string(what));
   }
   return raw;
-}
-
-std::string serialize_codec_list(const std::vector<CodecId>& codecs) {
-  std::string out;
-  store::wire::put_u32(out, static_cast<std::uint32_t>(codecs.size()));
-  for (CodecId id : codecs) out.push_back(static_cast<char>(id));
-  store::wire::put_u64(out, store::wire::fnv1a64(out));
-  return out;
-}
-
-std::vector<CodecId> parse_codec_list(std::string_view bytes) {
-  if (bytes.size() < 12) return {};
-  const std::string_view body = bytes.substr(0, bytes.size() - 8);
-  store::wire::Reader trailer{bytes.substr(bytes.size() - 8)};
-  if (store::wire::fnv1a64(body) != trailer.u64()) return {};
-  store::wire::Reader reader{body};
-  const std::uint32_t count = reader.u32();
-  if (count != body.size() - 4) return {};
-  std::vector<CodecId> out;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    out.push_back(static_cast<CodecId>(reader.u8()));
-  }
-  return reader.ok ? out : std::vector<CodecId>{};
 }
 
 }  // namespace comt::transfer

@@ -5,73 +5,36 @@
 // bit-flip in storage, or a decoder bug all surface as Errc::corrupt; they
 // can never silently reassemble into a wrong blob.
 //
-// Codecs are negotiated per transfer: the pushing side sends its preference
-// list against the destination's advertised set (ChunkStore publishes one)
-// and the first common id wins. Identity is always available, so negotiation
-// degrades to "no compression", never to "no transfer". The frame additionally
-// stores identity whenever encoding does not shrink a chunk — the negotiated
-// codec is a ceiling, not a promise.
+// Every chunk is framed with LZ, or stored as identity (raw bytes) when LZ
+// does not shrink it; the frame's id byte says which, so a reader never
+// needs to know what the writer preferred.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "support/error.hpp"
 
 namespace comt::transfer {
 
-/// Wire-stable codec identifiers (part of the chunk frame; never renumber).
+/// Wire-stable codec identifiers, the first byte of every chunk frame (never
+/// renumber).
 enum class CodecId : std::uint8_t {
   identity = 0,  ///< raw bytes
   lz = 1,        ///< byte-aligned LZ (greedy 4-byte-hash matcher, 64 KiB window)
 };
 
-const char* codec_name(CodecId id);
+/// Frames `raw` for the wire:
+/// [u8 codec_id][u32 raw_size][u64 fnv1a64(raw)][payload]. The payload is
+/// LZ-encoded, or the raw bytes under an identity id when the encoding does
+/// not shrink them.
+std::string frame_chunk(std::string_view raw);
 
-/// One compression scheme. Implementations must be deterministic and
-/// side-effect free; encode/decode run concurrently from many transfers.
-class Codec {
- public:
-  virtual ~Codec() = default;
-  virtual CodecId id() const = 0;
-  /// Encoded form of `raw`. May be larger than the input (the chunk frame
-  /// falls back to identity storage in that case).
-  virtual std::string encode(std::string_view raw) const = 0;
-  /// Inverse of encode. `raw_size` is the expected decoded size from the
-  /// frame header; any structural violation returns Errc::corrupt.
-  virtual Result<std::string> decode(std::string_view encoded,
-                                     std::size_t raw_size) const = 0;
-};
-
-/// Built-in codec for `id`, nullptr when unknown (a frame from a newer peer).
-const Codec* find_codec(CodecId id);
-
-/// Every codec this build supports, in descending preference order.
-std::vector<CodecId> supported_codecs();
-
-/// First entry of `preferred` that `remote` also supports — the per-transfer
-/// negotiation. Errc::unsupported when the sets are disjoint (cannot happen
-/// between builds that both list identity, but a hostile advertisement can).
-Result<CodecId> negotiate(const std::vector<CodecId>& preferred,
-                          const std::vector<CodecId>& remote);
-
-/// Frames `raw` for the wire under `codec`:
-/// [u8 codec_id][u32 raw_size][u64 fnv1a64(raw)][payload]. Falls back to an
-/// identity frame when the encoding does not shrink the payload.
-std::string frame_chunk(CodecId codec, std::string_view raw);
-
-/// Unframes and decodes, then verifies raw size and checksum — torn frames,
-/// unknown codecs and failed round-trips all come back Errc::corrupt (or
-/// Errc::unsupported for a codec id this build has no decoder for). `what`
-/// names the chunk in error messages.
+/// Unframes and decodes, then verifies raw size and checksum — torn frames
+/// and failed round-trips come back Errc::corrupt, a codec id this build has
+/// no decoder for Errc::unsupported. `what` names the chunk in error
+/// messages.
 Result<std::string> unframe_chunk(std::string_view what, std::string_view framed);
-
-/// Serialized codec advertisement (one u8 per id) and its parser; this is the
-/// value a ChunkStore publishes under its codecs key. A damaged advertisement
-/// parses as empty — negotiation then fails closed instead of guessing.
-std::string serialize_codec_list(const std::vector<CodecId>& codecs);
-std::vector<CodecId> parse_codec_list(std::string_view bytes);
 
 }  // namespace comt::transfer

@@ -28,16 +28,10 @@ Result<DeltaReport> push_delta(const std::string& blob,
   }
   report.full_push = !any_base;
 
-  std::vector<CodecId> advertised = destination.advertised_codecs();
-  if (advertised.empty()) advertised = destination.codecs();
-  COMT_TRY(report.codec, negotiate(supported_codecs(), advertised));
-  span.annotate("codec", codec_name(report.codec));
-
   for (const ChunkRef& chunk : manifest.chunks) {
     COMT_TRY(std::uint64_t wire,
              destination.put_chunk(chunk.digest,
-                                   std::string_view(blob).substr(chunk.offset, chunk.size),
-                                   report.codec));
+                                   std::string_view(blob).substr(chunk.offset, chunk.size)));
     if (wire == 0) {
       ++report.chunks_reused;
       report.bytes_deduped += chunk.size;
@@ -75,11 +69,6 @@ Result<DeltaReport> pull_delta(const ChunkStore& source, std::string_view blob_d
   report.blob_bytes = manifest.total_size;
   report.chunks_total = manifest.chunks.size();
 
-  std::vector<CodecId> advertised = local.advertised_codecs();
-  if (advertised.empty()) advertised = local.codecs();
-  COMT_TRY(report.codec, negotiate(supported_codecs(), advertised));
-  span.annotate("codec", codec_name(report.codec));
-
   std::string blob;
   blob.reserve(manifest.total_size);
   for (const ChunkRef& chunk : manifest.chunks) {
@@ -101,7 +90,7 @@ Result<DeltaReport> pull_delta(const ChunkStore& source, std::string_view blob_d
       COMT_TRY(raw, source.get_chunk(chunk.digest, &wire));
       ++report.chunks_moved;
       report.bytes_moved += wire;
-      COMT_TRY(std::uint64_t wrote, local.put_chunk(chunk.digest, raw, report.codec));
+      COMT_TRY(std::uint64_t wrote, local.put_chunk(chunk.digest, raw));
       (void)wrote;
     }
     blob.append(raw);

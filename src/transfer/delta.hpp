@@ -22,7 +22,6 @@
 #include "support/error.hpp"
 #include "transfer/chunker.hpp"
 #include "transfer/chunkstore.hpp"
-#include "transfer/codec.hpp"
 
 namespace comt::transfer {
 
@@ -35,7 +34,6 @@ struct DeltaReport {
   std::size_t chunks_reused = 0;    ///< chunks the receiver already held
   std::uint64_t bytes_moved = 0;    ///< framed chunk bytes + manifest bytes on the wire
   std::uint64_t bytes_deduped = 0;  ///< raw bytes covered by reused chunks
-  CodecId codec = CodecId::identity;  ///< negotiated codec for this transfer
   bool full_push = false;  ///< no usable base manifest at the destination
 
   double moved_fraction() const {
@@ -49,11 +47,9 @@ struct DeltaReport {
 /// already holds. `base_blob_digests` names blobs expected at the destination
 /// (the generic parent's layers); they only inform the `full_push` flag — the
 /// per-chunk probes are authoritative, so a missing or partially GC'd base
-/// degrades to moving more chunks, never to a wrong blob. The codec is this
-/// side's supported_codecs() negotiated against the destination's
-/// advertisement. Emits a "transfer.push" span under `parent` on the
-/// destination's tracer and bumps its "transfer.bytes_moved" counter by the
-/// wire bytes.
+/// degrades to moving more chunks, never to a wrong blob. Emits a
+/// "transfer.push" span under `parent` on the destination's tracer and bumps
+/// its "transfer.bytes_moved" counter by the wire bytes.
 Result<DeltaReport> push_delta(const std::string& blob,
                                const std::vector<std::string>& base_blob_digests,
                                ChunkStore& destination, obs::SpanId parent = obs::kNoSpan);

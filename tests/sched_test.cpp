@@ -41,7 +41,7 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   EXPECT_EQ(pool.executed(), 100u);
 }
 
-TEST(ThreadPoolTest, WorkIsStolenAcrossWorkers) {
+TEST(ThreadPoolTest, WorkersShareOneQueueAndRunEachTaskOnce) {
   // Two workers share one queue: every task runs exactly once.
   sched::ThreadPool pool(2);
   std::mutex mutex;
@@ -75,45 +75,6 @@ TEST(ThreadPoolTest, ShutdownUnderPendingWorkDoesNotHang) {
   pool.submit([&ran] { ran.fetch_add(100); });
   pool.wait_idle();
   EXPECT_LE(ran.load(), 50);
-}
-
-TEST(ThreadPoolTest, ResizeGrowsAndShrinksBetweenBounds) {
-  sched::ThreadPool pool(2, 6);
-  EXPECT_EQ(pool.size(), 2u);
-  EXPECT_EQ(pool.max_size(), 6u);
-
-  pool.resize(5);
-  EXPECT_EQ(pool.size(), 5u);
-  pool.resize(99);  // clamped to max_size
-  EXPECT_EQ(pool.size(), 6u);
-  pool.resize(0);  // clamped to 1
-  EXPECT_EQ(pool.size(), 1u);
-
-  // The resized pool still runs everything exactly once.
-  std::atomic<int> count{0};
-  for (int i = 0; i < 200; ++i) pool.submit([&count] { count.fetch_add(1); });
-  pool.resize(4);
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 200);
-}
-
-TEST(ThreadPoolTest, ShrinkDoesNotDropQueuedTasks) {
-  sched::ThreadPool pool(4, 4);
-  std::mutex gate;
-  gate.lock();  // hold the workers so a backlog builds up behind them
-  for (int i = 0; i < 4; ++i) {
-    pool.submit([&gate] {
-      gate.lock();
-      gate.unlock();
-    });
-  }
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 64; ++i) pool.submit([&ran] { ran.fetch_add(1); });
-  pool.resize(1);  // retire three workers while the queue holds work
-  gate.unlock();
-  pool.wait_idle();  // the survivor must drain everything queued
-  EXPECT_EQ(ran.load(), 64);
-  EXPECT_EQ(pool.size(), 1u);
 }
 
 // ---- DagScheduler -------------------------------------------------------------

@@ -664,61 +664,6 @@ TEST(ServiceTenantTest, WeightedFairDrainKeepsQuietTenantUnstarved) {
   EXPECT_GT(stats.tenants.at("quiet").p99_queue_wait_ms, 0.0);
 }
 
-TEST(ServiceAutoscaleTest, ScalesUpUnderBacklogAndConvergesBackToMin) {
-  support::FaultInjector faults;
-  registry::Registry hub;
-  ASSERT_TRUE(publish(hub, "minimd", "hub/minimd", "1.0").ok());
-  ASSERT_TRUE(publish(hub, "comd", "hub/comd", "1.0").ok());
-  ASSERT_TRUE(publish(hub, "hpccg", "hub/hpccg", "1.0").ok());
-  ASSERT_TRUE(publish(hub, "minife", "hub/minife", "1.0").ok());
-
-  obs::MetricsRegistry metrics;
-  ServiceOptions options;
-  options.workers_per_system = 1;
-  options.autoscale.enabled = true;
-  options.autoscale.min_workers = 1;
-  options.autoscale.max_workers = 3;
-  options.autoscale.interval_ms = 5;
-  options.autoscale.up_backlog_per_worker = 1.0;
-  options.autoscale.down_backlog_per_worker = 0.25;
-  options.autoscale.cooldown_periods = 2;
-  // The first two pulls fail and each retry backs off for at least 10 ms, so
-  // the first job holds the only worker across several 5 ms ticks while the
-  // other three stay queued: the backlog exists by construction, not because
-  // a ticket happens to outlast a tick.
-  options.backoff_base_ms = 10;
-  options.metrics = &metrics;
-  RebuildService svc(hub, options);
-  ASSERT_TRUE(svc.add_system(kSys, make_target()).ok());
-  EXPECT_EQ(metrics.gauge_value(std::string("service.autoscale.workers.") + kSys), 1.0);
-  hub.set_fault_injector(&faults);
-  faults.fail_next(registry::kPullFaultSite, 2);
-
-  std::vector<Ticket> tickets;
-  for (const char* name : {"hub/minimd", "hub/comd", "hub/hpccg", "hub/minife"}) {
-    auto ticket = svc.submit({name, "1.0", kSys});
-    ASSERT_TRUE(ticket.ok());
-    tickets.push_back(ticket.value());
-  }
-  for (Ticket ticket : tickets) {
-    EXPECT_EQ(svc.wait(ticket).value().state, JobState::succeeded);
-  }
-
-  // The backlog (4 jobs on 1 worker) must have tripped at least one scale-up…
-  ServiceStats after_load = svc.stats();
-  EXPECT_GE(after_load.scale_ups, 1u);
-
-  // …and an idle service must converge back down to min_workers.
-  const std::string gauge = std::string("service.autoscale.workers.") + kSys;
-  for (int spin = 0; spin < 400 && metrics.gauge_value(gauge) > 1.0; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(metrics.gauge_value(gauge), 1.0);
-  ServiceStats settled = svc.stats();
-  EXPECT_GE(settled.scale_downs, 1u);
-  EXPECT_EQ(settled.scale_downs, settled.scale_ups);  // every grow was undone
-}
-
 TEST(ServiceTest, FingerprintIsStableAndSystemSpecific) {
   std::string x86 = fingerprint(sysmodel::SystemProfile::x86_cluster());
   EXPECT_EQ(x86, fingerprint(sysmodel::SystemProfile::x86_cluster()));

@@ -60,12 +60,12 @@ TEST(TransferChunkerTest, BoundariesAreDeterministicAndCoverTheBlob) {
   for (const auto& [offset, size] : a) {
     EXPECT_EQ(offset, pos);
     EXPECT_GT(size, 0u);
-    EXPECT_LE(size, params.max_size);
+    EXPECT_LE(size, params.max_bytes);
     pos += size;
   }
   EXPECT_EQ(pos, blob.size());
   // Every chunk except the tail respects the minimum.
-  for (std::size_t i = 0; i + 1 < a.size(); ++i) EXPECT_GE(a[i].second, params.min_size);
+  for (std::size_t i = 0; i + 1 < a.size(); ++i) EXPECT_GE(a[i].second, params.min_bytes);
 }
 
 TEST(TransferChunkerTest, ManifestRoundTripsAndDetectsDamage) {
@@ -116,10 +116,10 @@ TEST(TransferChunkerTest, OneByteInsertDirtiesOhOneChunks) {
 
 TEST(TransferChunkerTest, RejectsInvalidParams) {
   ChunkerParams bad;
-  bad.avg_size = 3000;  // not a power of two
+  bad.avg_bytes = 3000;  // not a power of two
   EXPECT_EQ(bad.validate().error().code, Errc::invalid_argument);
   bad = ChunkerParams{};
-  bad.min_size = bad.avg_size + 1;
+  bad.min_bytes = bad.avg_bytes + 1;
   EXPECT_EQ(bad.validate().error().code, Errc::invalid_argument);
   EXPECT_FALSE(build_manifest("x", bad).ok());
 }
@@ -135,19 +135,18 @@ TEST(TransferChunkerTest, EmptyBlobHasNoChunks) {
 // Codec.
 
 TEST(TransferCodecTest, LzRoundTripsAndShrinksRepetitiveData) {
-  const Codec* lz = find_codec(CodecId::lz);
-  ASSERT_NE(lz, nullptr);
   const std::string raw = payload(16 * 1024, 23);
-  std::string encoded = lz->encode(raw);
-  EXPECT_LT(encoded.size(), raw.size());
-  auto decoded = lz->decode(encoded, raw.size());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value(), raw);
+  std::string framed = frame_chunk(raw);
+  EXPECT_EQ(static_cast<CodecId>(framed[0]), CodecId::lz);
+  EXPECT_LT(framed.size(), raw.size());
+  auto back = unframe_chunk("r", framed);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value(), raw);
 }
 
 TEST(TransferCodecTest, FrameVerifiesChecksumAndRejectsDamage) {
   const std::string raw = payload(4096, 5);
-  std::string framed = frame_chunk(CodecId::lz, raw);
+  std::string framed = frame_chunk(raw);
   auto back = unframe_chunk("t", framed);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back.value(), raw);
@@ -168,24 +167,9 @@ TEST(TransferCodecTest, IncompressibleDataFallsBackToIdentity) {
   std::mt19937_64 rng(99);
   std::string raw(2048, '\0');
   for (char& c : raw) c = static_cast<char>(rng());
-  std::string framed = frame_chunk(CodecId::lz, raw);
+  std::string framed = frame_chunk(raw);
   EXPECT_EQ(static_cast<CodecId>(framed[0]), CodecId::identity);
   EXPECT_EQ(unframe_chunk("r", framed).value(), raw);
-}
-
-TEST(TransferCodecTest, NegotiationPicksFirstCommonAndFailsClosed) {
-  EXPECT_EQ(negotiate({CodecId::lz, CodecId::identity}, {CodecId::identity, CodecId::lz})
-                .value(),
-            CodecId::lz);
-  EXPECT_EQ(negotiate({CodecId::lz, CodecId::identity}, {CodecId::identity}).value(),
-            CodecId::identity);
-  EXPECT_EQ(negotiate({CodecId::lz}, {}).error().code, Errc::unsupported);
-
-  // Advertisement round-trip; a damaged advertisement parses as empty.
-  std::string ad = serialize_codec_list({CodecId::lz, CodecId::identity});
-  EXPECT_EQ(parse_codec_list(ad), (std::vector<CodecId>{CodecId::lz, CodecId::identity}));
-  ad[1] ^= 0x40;
-  EXPECT_TRUE(parse_codec_list(ad).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -363,16 +347,33 @@ TEST(TransferDeltaTest, PullReusesLocalChunksAndVerifies) {
   EXPECT_EQ(again.value().chunks_moved, 0u);
 }
 
-TEST(TransferDeltaTest, NegotiationRespectsDestinationAdvertisement) {
-  ChunkStore::Options identity_only;
-  identity_only.codecs = {CodecId::identity};
-  ChunkStore destination(std::make_shared<store::MemStore>(), identity_only);
-  const std::string blob = payload(32 * 1024, 121);
-  auto report = push_delta(blob, {}, destination);
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.value().codec, CodecId::identity);
-  // Identity frames store raw bytes: moved >= blob size.
-  EXPECT_GE(report.value().bytes_moved, blob.size());
+TEST(TransferDeltaTest, PushedStoreBytesArePinned) {
+  // One compressible and one incompressible blob, so the store holds frames
+  // of both ids (LZ and the identity fallback). The digest covers every key
+  // and value the pushes left, so a change to the frame, the manifest or the
+  // chunker shows here; the store holds chunks and manifests and nothing else.
+  auto backend = std::make_shared<store::MemStore>();
+  ChunkStore destination(backend);
+  std::mt19937_64 rng(17);
+  std::string noise(24 * 1024, '\0');
+  for (char& c : noise) c = static_cast<char>(rng());
+  ASSERT_TRUE(push_delta(payload(48 * 1024, 7), {}, destination).ok());
+  ASSERT_TRUE(push_delta(noise, {}, destination).ok());
+
+  std::string pairs;
+  std::set<CodecId> frame_ids;
+  for (const store::KvEntry& entry : backend->list()) {
+    const bool chunk = entry.key.rfind("transfer/chunk/", 0) == 0;
+    ASSERT_TRUE(chunk || entry.key.rfind("transfer/manifest/", 0) == 0)
+        << "unexpected key " << entry.key;
+    auto value = backend->get(entry.key);
+    ASSERT_TRUE(value.ok());
+    if (chunk) frame_ids.insert(static_cast<CodecId>(value.value()[0]));
+    pairs += entry.key + '\0' + std::to_string(value.value().size()) + '\0' + value.value();
+  }
+  EXPECT_EQ(frame_ids, (std::set<CodecId>{CodecId::identity, CodecId::lz}));
+  EXPECT_EQ(Sha256::hex_digest(pairs),
+            "3dd6bf9640ee00fcc943495a6ca98b838e1db399a8e300a6e9c1296e60d44903");
 }
 
 // ---------------------------------------------------------------------------
@@ -414,8 +415,7 @@ TEST(TransferRemoteTest, TornChunkUploadIsDetectedAndRepushHeals) {
     if (destination.get_chunk(chunk.digest).ok()) continue;
     ASSERT_TRUE(destination
                     .repair_chunk(chunk.digest,
-                                  std::string_view(blob).substr(chunk.offset, chunk.size),
-                                  CodecId::lz)
+                                  std::string_view(blob).substr(chunk.offset, chunk.size))
                     .ok());
   }
   auto back = destination.get_blob(report.value().blob_digest);
