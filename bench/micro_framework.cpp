@@ -13,6 +13,7 @@
 #include "support/sha256_compress.hpp"
 #include "tar/tar.hpp"
 #include "toolchain/options.hpp"
+#include "transfer/codec.hpp"
 #include "workloads/harness.hpp"
 
 using namespace comt;
@@ -56,6 +57,25 @@ void BM_TarPackUnpack(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TarPackUnpack);
+
+// Framing one chunk a push has not stored yet (LZ, or identity when LZ does
+// not shrink it), at the chunker's average and maximum chunk sizes: a slice
+// of the packed lammps build context, which compresses.
+void BM_FrameChunk(benchmark::State& state) {
+  const std::string packed = tar::pack(workloads::build_context(lammps()));
+  const auto size = static_cast<std::size_t>(state.range(0));
+  COMT_ASSERT(packed.size() >= 2 * size, "build context too small");
+  const std::string chunk = packed.substr(packed.size() / 2, size);
+  std::size_t framed = 0;
+  for (auto _ : state) {
+    std::string frame = transfer::frame_chunk(chunk);
+    framed = frame.size();
+    benchmark::DoNotOptimize(frame);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+  state.counters["framed_bytes"] = static_cast<double>(framed);
+}
+BENCHMARK(BM_FrameChunk)->Arg(2048)->Arg(16384);
 
 void BM_GccCommandParse(benchmark::State& state) {
   std::vector<std::string> argv = {

@@ -33,6 +33,7 @@
 
 #include "core/backend.hpp"
 #include "json/json.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "sched/compile_cache.hpp"
 #include "sysmodel/sysmodel.hpp"
@@ -370,7 +371,8 @@ int main(int argc, char** argv) {
   std::printf("\ntracing overhead (2 threads): off %.2f ms, on %.2f ms (%+.2f%%), "
               "%zu spans\n",
               off_ms, on_ms, overhead_pct, best_tracer->span_count());
-  std::printf("%s", traced_report.profile.to_string().c_str());
+  std::printf("%s",
+              obs::profile_phases(*best_tracer, traced_report.root_span).to_string().c_str());
 
   const std::string trace_json = best_tracer->chrome_trace_json();
   std::size_t span_count = 0;

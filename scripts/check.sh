@@ -14,14 +14,16 @@
 # under ThreadSanitizer reruns the concurrency layer
 # (scheduler — including the SchedStress pool/cache/epoch tests —
 # registry, rebuild service, obs tracing/metrics, OCI layouts, whose
-# copies share blob buffers, their proofs and unpacked layer trees across
-# threads, vfs, whose shared nodes keep a digest memo that concurrent wave
-# jobs fill, and the crash-resume sweep, whose 4-thread pass crashes the
-# wave path from its commit hook) and the service + soak smoke benches. A third
+# copies share blob buffers, their proofs, unpacked layer trees and parsed
+# manifests and configs across threads, vfs, whose shared nodes keep a
+# digest memo that concurrent wave jobs fill, and the crash-resume sweep,
+# whose 4-thread pass crashes the wave path from its commit hook) and the
+# service + soak smoke benches. A third
 # build under AddressSanitizer reruns the durability layer (write-ahead
 # journal, crash/torn-write injection, fsck/repair), SHA-256, vfs, the tar
 # parser's damage sweeps, OCI layouts and the registry, whose pulled blob
-# buffers and layer-tree slots outlive the hub's sweep, plus
+# buffers and their slots (layer trees, parsed manifests and configs)
+# outlive the hub's sweep, plus
 # the crash-resume smoke bench — crash paths unwind through partially
 # written state, exactly where ASAN finds lifetime bugs.
 #
@@ -84,10 +86,12 @@ if [ "${COMT_SKIP_TSAN:-0}" != "1" ]; then
   cmake --build "$tsan_dir" -j "$jobs"
 
   echo "== tsan test (concurrency layer, layouts, vfs, crash resume) =="
-  # Layout|Flatten: layout copies share blob buffers, their proofs and kept
-  # layer trees, and concurrent flattens of one layout race to keep the same
-  # tree. Vfs: every copy of a tree shares its nodes, and the first of the
-  # wave jobs that digest one node fills the node's memo for all of them.
+  # Layout|Flatten: layout copies share blob buffers, their proofs, kept
+  # layer trees and the metadata memo (each manifest's and config's parse),
+  # concurrent flattens of one layout race to keep the same tree, and
+  # concurrent find_image calls race to keep the same parse. Vfs: every
+  # copy of a tree shares its nodes, and the first of the wave jobs that
+  # digest one node fills the node's memo for all of them.
   # CrashResume: the sweep's 4-thread pass unwinds a wave-mode rebuild from
   # its commit hook while the pool's workers are parked. RegistryStress
   # includes pulls through per-puller chunk caches that read the hub's
@@ -112,10 +116,11 @@ if [ "${COMT_SKIP_ASAN:-0}" != "1" ]; then
   # Sha256: the SHA-extension compressor loads 16 bytes at a time, so ASAN
   # must see any read past a buffer's end. Vfs: node content is reallocated
   # to its exact size. Tar: the parser's truncation and bit-flip sweeps read
-  # right up to every cut. Layout: kept layer trees outlive the bytes they
-  # were unpacked from. Registry: a pull holds the hub's blob buffers, their
-  # tree slots and the blobs it reassembled from chunks after the hub lock
-  # is released, while a remove sweeps (RegistryStressTest runs it through
+  # right up to every cut. Layout: kept layer trees and the metadata memo
+  # (parsed manifests and configs) outlive the bytes they came from.
+  # Registry: a pull holds the hub's blob buffers, manifest included, their
+  # slots and the blobs it reassembled from chunks after the hub lock is
+  # released, while a remove sweeps (RegistryStressTest runs it through
   # local chunk caches too).
   ctest --test-dir "$asan_dir" --output-on-failure -j "$jobs" \
         -R 'Journal|Durable|Fsck|CrashResume|ServiceCrashRecovery|FaultInjector|LayoutPin|Registry|Store|Transfer|Sha256|Vfs|Tar|Layout'

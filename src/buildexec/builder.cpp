@@ -216,11 +216,8 @@ Result<oci::Image> ImageBuilder::commit(const Container& container, const oci::I
   config.diff_ids.push_back(layer.digest);
   config.history = base.config.history;
   config.history.emplace_back(created_by);
-  oci::Descriptor config_descriptor =
-      layout_.put_blob(json::serialize(config.to_json()), oci::kMediaTypeConfig);
-
   oci::Manifest manifest = base.manifest;
-  manifest.config = config_descriptor;
+  manifest.config = layout_.put_config(config);
   manifest.layers.push_back(layer);
   COMT_TRY(oci::Digest manifest_digest, layout_.add_manifest(manifest, tag));
   return oci::Image{std::move(manifest_digest), std::move(manifest), std::move(config)};

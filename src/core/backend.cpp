@@ -614,9 +614,6 @@ Result<RebuildReport> comtainer_rebuild(oci::Layout& layout, std::string_view ex
            layout.append_layer(extended, rebuild_layer, "coMtainer-rebuild", rebuilt_tag));
   commit_span.end();
   root_span.end();
-  if (options.tracer != nullptr) {
-    report.profile = obs::profile_phases(*options.tracer, report.root_span);
-  }
   return report;
 }
 

@@ -30,7 +30,6 @@
 #include "core/models.hpp"
 #include "durable/journal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "oci/oci.hpp"
 #include "sched/compile_cache.hpp"
@@ -118,7 +117,8 @@ struct RebuildOptions {
   /// Optional tracer. When set, the rebuild emits a root "rebuild" span with
   /// the pipeline phases ("resolve", per-pass scheduling with one span per
   /// compile job, "layer-commit") nested under it, and RebuildReport carries
-  /// the root span id and a per-phase profile.
+  /// the root span id (obs::profile_phases folds the spans under it into a
+  /// per-phase profile).
   obs::Tracer* tracer = nullptr;
   /// Parent for the root span (e.g. the service's per-attempt span).
   obs::SpanId parent_span = obs::kNoSpan;
@@ -166,9 +166,6 @@ struct RebuildReport {
   /// Root span id of this rebuild in RebuildOptions::tracer (kNoSpan when no
   /// tracer was attached).
   obs::SpanId root_span = obs::kNoSpan;
-  /// Per-phase time breakdown aggregated from the rebuild's spans (empty
-  /// when no tracer was attached).
-  obs::ProfileReport profile;
 };
 
 Result<RebuildReport> comtainer_rebuild(oci::Layout& layout, std::string_view extended_tag,

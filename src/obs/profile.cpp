@@ -50,27 +50,7 @@ std::string ProfileReport::to_string() const {
 }
 
 ProfileReport profile_phases(const Tracer& tracer, SpanId root) {
-  std::vector<SpanRecord> spans;
-  if (root == kNoSpan) {
-    spans = tracer.snapshot();
-  } else {
-    // A descendant opens after the root opened, so it ends after the root
-    // started: read back from the latest-ended span until the root is found
-    // and every older span ended before it began. A traced rebuild then costs
-    // its own spans, not the whole trace. A root still open is never found,
-    // so that walk reads everything, as a full snapshot would.
-    bool root_seen = false;
-    double root_start_us = 0;
-    tracer.visit_latest_first([&](const SpanRecord& span) {
-      if (root_seen && span.start_us + span.dur_us < root_start_us) return false;
-      if (span.id == root) {
-        root_seen = true;
-        root_start_us = span.start_us;
-      }
-      spans.push_back(span);
-      return true;
-    });
-  }
+  const std::vector<SpanRecord> spans = tracer.snapshot();
   ProfileReport report;
 
   // Restrict to the root's descendants when a root is given. Parent links

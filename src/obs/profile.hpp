@@ -44,9 +44,8 @@ struct ProfileReport {
 /// root span's descendants (by parent links) are counted and total_ms is the
 /// root's duration; with kNoSpan every span counts and total_ms spans the
 /// whole trace. The root span's own category is excluded from the phase sums
-/// (it would double-count all of its children). With a root that has ended,
-/// only spans that ended after it started are read, so the cost follows the
-/// root's own spans, not the length of the trace.
+/// (it would double-count all of its children). Reads a snapshot() of the
+/// whole trace, so a caller profiles once, after the work it traced.
 ProfileReport profile_phases(const Tracer& tracer, SpanId root = kNoSpan);
 
 }  // namespace comt::obs

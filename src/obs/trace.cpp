@@ -96,35 +96,6 @@ std::vector<SpanRecord> Tracer::snapshot() const {
   return out;
 }
 
-void Tracer::visit_latest_first(const std::function<bool(const SpanRecord&)>& visit) const {
-  struct Tail {
-    const std::vector<SpanRecord>* records;
-    std::size_t unvisited;
-  };
-  const auto end_us = [](const Tail& tail) {
-    const SpanRecord& span = (*tail.records)[tail.unvisited - 1];
-    return span.start_us + span.dur_us;
-  };
-  // Buffer locks are taken in registration order under the registry lock;
-  // no other path holds two buffer locks, so this cannot deadlock.
-  std::lock_guard<std::mutex> registry_lock(registry_mutex_);
-  std::vector<std::unique_lock<std::mutex>> locks;
-  std::vector<Tail> tails;
-  for (const auto& buffer : buffers_) {
-    locks.emplace_back(buffer->mutex);
-    tails.push_back({&buffer->records, buffer->records.size()});
-  }
-  while (true) {
-    Tail* latest = nullptr;
-    for (Tail& tail : tails) {
-      if (tail.unvisited != 0 && (latest == nullptr || end_us(tail) > end_us(*latest))) {
-        latest = &tail;
-      }
-    }
-    if (latest == nullptr || !visit((*latest->records)[--latest->unvisited])) return;
-  }
-}
-
 std::size_t Tracer::span_count() const {
   std::size_t count = 0;
   std::lock_guard<std::mutex> registry_lock(registry_mutex_);

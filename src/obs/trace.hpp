@@ -19,7 +19,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -96,13 +95,6 @@ class Tracer {
   /// All completed spans, sorted by (start time, id). Concurrent emitters may
   /// add more spans after the snapshot returns.
   std::vector<SpanRecord> snapshot() const;
-
-  /// Visits completed spans latest-ended first, merged across the thread
-  /// buffers, until `visit` returns false. Each buffer holds its spans in the
-  /// order they ended, so the walk reads only buffer tails and a caller that
-  /// stops early never touches older spans. Every buffer stays locked for the
-  /// walk: `visit` must not end spans on this tracer.
-  void visit_latest_first(const std::function<bool(const SpanRecord&)>& visit) const;
 
   std::size_t span_count() const;
 

@@ -151,10 +151,12 @@ FsckReport fsck_repair(Layout& layout, const BlobFetcher& origin) {
         break;
       }
       case FsckIssue::dangling_manifest:
+        // A cut whose index write fails leaves the tag in place, so the
+        // rescan counts it as remaining.
         if (refetch(layout, origin, finding.digest)) {
           finding.action = FsckAction::refetched;
           ++report.refetched;
-        } else if (layout.remove_tag(finding.tag)) {
+        } else if (auto cut = layout.remove_tag(finding.tag); cut.ok() && cut.value()) {
           finding.action = FsckAction::dropped;
           ++report.dropped;
         }

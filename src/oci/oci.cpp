@@ -1,5 +1,8 @@
 #include "oci/oci.hpp"
 
+#include <typeinfo>
+#include <utility>
+
 #include "support/sha256.hpp"
 #include "tar/tar.hpp"
 
@@ -173,8 +176,8 @@ namespace detail {
 /// What is known of one stored buffer. The slot holds the buffer it is bound
 /// to, so none of it can ever speak for other bytes (nor can that buffer be
 /// freed and its address reused while the slot lives). The mutex is held
-/// while the tree unpacks and while the memo derives, so concurrent readers
-/// unpack and derive a buffer once.
+/// while the tree unpacks and while the memo derives or parses, so
+/// concurrent readers unpack and derive a buffer once.
 struct LayerSlot {
   explicit LayerSlot(std::shared_ptr<const std::string> bytes, Digest proof = {})
       : bytes(std::move(bytes)), proof(std::move(proof)) {}
@@ -196,6 +199,20 @@ struct LayerSlot {
       unpacked = std::make_shared<const vfs::Filesystem>(std::move(fresh));
     }
     return unpacked;
+  }
+
+  /// The kept memo when it is of type `kind`; otherwise `derive()`, which is
+  /// kept when it succeeds and the slot keeps no memo yet.
+  Result<std::shared_ptr<const void>> memoize(
+      std::type_index kind, const std::function<Result<std::shared_ptr<const void>>()>& derive) {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (memo_kind == kind) return memo;
+    COMT_TRY(std::shared_ptr<const void> derived, derive());
+    if (!memo_kind.has_value()) {
+      memo_kind = kind;
+      memo = derived;
+    }
+    return derived;
   }
 
   const std::shared_ptr<const std::string> bytes;
@@ -354,7 +371,9 @@ void Layout::check_torn_put(const std::string& digest, std::string_view bytes) {
   }
 }
 
-Descriptor Layout::put_blob(std::string blob, std::string_view media_type) {
+template <typename T>
+Descriptor Layout::put_parsed(std::string blob, std::string_view media_type,
+                              std::shared_ptr<const T> parsed) {
   Descriptor descriptor;
   descriptor.media_type = std::string(media_type);
   descriptor.digest = Digest::of_blob(blob);
@@ -370,10 +389,23 @@ Descriptor Layout::put_blob(std::string blob, std::string_view media_type) {
     trees_.drop(descriptor.digest.value);
   } else {
     // The digest was just computed from this very buffer: its proof.
-    trees_.keep(descriptor.digest.value,
-                std::make_shared<detail::LayerSlot>(std::move(stored), descriptor.digest));
+    auto slot = std::make_shared<detail::LayerSlot>(std::move(stored), descriptor.digest);
+    if (parsed != nullptr) {
+      slot->memo_kind = typeid(T);
+      slot->memo = std::move(parsed);
+    }
+    trees_.keep(descriptor.digest.value, std::move(slot));
   }
   return descriptor;
+}
+
+Descriptor Layout::put_blob(std::string blob, std::string_view media_type) {
+  return put_parsed<void>(std::move(blob), media_type, nullptr);
+}
+
+Descriptor Layout::put_config(const ImageConfig& config) {
+  return put_parsed(json::serialize(config.to_json()), kMediaTypeConfig,
+                    std::make_shared<const ImageConfig>(config));
 }
 
 Result<SharedBlob> Layout::share_blob(const Digest& digest) const {
@@ -453,17 +485,10 @@ Result<Digest> Layout::add_manifest(const Manifest& manifest, std::string_view t
       return make_error(Errc::not_found, "manifest layer blob missing: " + layer.digest.value);
     }
   }
-  Descriptor descriptor =
-      put_blob(json::serialize(manifest.to_json()), kMediaTypeManifest);
-  for (auto& [existing_tag, digest] : index_) {
-    if (existing_tag == tag) {
-      digest = descriptor.digest;
-      COMT_TRY_STATUS(persist_index());
-      return descriptor.digest;
-    }
-  }
-  index_.emplace_back(std::string(tag), descriptor.digest);
-  COMT_TRY_STATUS(persist_index());
+  const Descriptor descriptor = put_parsed(json::serialize(manifest.to_json()),
+                                           kMediaTypeManifest,
+                                           std::make_shared<const Manifest>(manifest));
+  COMT_TRY_STATUS(tag_manifest(tag, descriptor.digest));
   return descriptor.digest;
 }
 
@@ -478,23 +503,34 @@ std::vector<std::pair<std::string, Digest>> Layout::index_entries() const {
   return index_;
 }
 
-void Layout::tag_manifest(std::string_view tag, const Digest& manifest_digest) {
+// An index mutation whose index.json write fails is undone, so the index in
+// memory stays the one the backend holds.
+Status Layout::tag_manifest(std::string_view tag, const Digest& manifest_digest) {
   for (auto& [existing_tag, digest] : index_) {
     if (existing_tag == tag) {
-      digest = manifest_digest;
-      (void)persist_index();
-      return;
+      Digest previous = std::exchange(digest, manifest_digest);
+      Status persisted = persist_index();
+      if (!persisted.ok()) digest = std::move(previous);
+      return persisted;
     }
   }
   index_.emplace_back(std::string(tag), manifest_digest);
-  (void)persist_index();
+  Status persisted = persist_index();
+  if (!persisted.ok()) index_.pop_back();
+  return persisted;
 }
 
-bool Layout::remove_tag(std::string_view tag) {
+Result<bool> Layout::remove_tag(std::string_view tag) {
   for (auto it = index_.begin(); it != index_.end(); ++it) {
     if (it->first == tag) {
+      const auto position = it - index_.begin();
+      std::pair<std::string, Digest> removed = std::move(*it);
       index_.erase(it);
-      (void)persist_index();
+      Status persisted = persist_index();
+      if (!persisted.ok()) {
+        index_.insert(index_.begin() + position, std::move(removed));
+        return persisted.error();
+      }
       return true;
     }
   }
@@ -508,14 +544,25 @@ Result<Image> Layout::find_image(std::string_view tag) const {
   return make_error(Errc::not_found, "no such tag: " + std::string(tag));
 }
 
+template <typename T>
+Result<std::shared_ptr<const T>> Layout::parsed_blob(const Digest& digest) const {
+  COMT_TRY(SharedBlob shared, share_blob(digest));
+  const std::string& bytes = shared.bytes();
+  auto parse = [&bytes]() -> Result<std::shared_ptr<const void>> {
+    COMT_TRY(json::Value document, json::parse(bytes));
+    COMT_TRY(T value, T::from_json(document));
+    return std::shared_ptr<const void>(std::make_shared<const T>(std::move(value)));
+  };
+  COMT_TRY(std::shared_ptr<const void> value,
+           shared.slot_ != nullptr ? shared.slot_->memoize(typeid(T), parse) : parse());
+  return std::static_pointer_cast<const T>(std::move(value));
+}
+
 Result<Image> Layout::load_image(const Digest& manifest_digest) const {
-  COMT_TRY(std::string manifest_blob, get_blob(manifest_digest));
-  COMT_TRY(json::Value manifest_doc, json::parse(manifest_blob));
-  COMT_TRY(Manifest manifest, Manifest::from_json(manifest_doc));
-  COMT_TRY(std::string config_blob, get_blob(manifest.config.digest));
-  COMT_TRY(json::Value config_doc, json::parse(config_blob));
-  COMT_TRY(ImageConfig config, ImageConfig::from_json(config_doc));
-  return Image{manifest_digest, std::move(manifest), std::move(config)};
+  COMT_TRY(std::shared_ptr<const Manifest> manifest, parsed_blob<Manifest>(manifest_digest));
+  COMT_TRY(std::shared_ptr<const ImageConfig> config,
+           parsed_blob<ImageConfig>(manifest->config.digest));
+  return Image{manifest_digest, *manifest, *config};
 }
 
 Result<vfs::Filesystem> Layout::flatten(const Image& image) const {
@@ -542,16 +589,8 @@ Result<std::shared_ptr<const void>> Layout::layer_memo_impl(const Descriptor& la
     COMT_TRY(vfs::Filesystem unpacked, tar::unpack(shared.bytes()));
     return derive(unpacked);
   }
-  detail::LayerSlot& slot = *shared.slot_;
-  COMT_TRY(Tree tree, slot.tree());
-  std::lock_guard<std::mutex> lock(slot.mutex);
-  if (slot.memo_kind == kind) return slot.memo;
-  COMT_TRY(std::shared_ptr<const void> derived, derive(*tree));
-  if (!slot.memo_kind.has_value()) {
-    slot.memo_kind = kind;
-    slot.memo = derived;
-  }
-  return derived;
+  COMT_TRY(Tree tree, shared.slot_->tree());
+  return shared.slot_->memoize(kind, [&derive, &tree] { return derive(*tree); });
 }
 
 Descriptor Layout::put_layer(const vfs::Filesystem& tree) {
@@ -570,11 +609,9 @@ Result<Image> Layout::append_layer(const Image& base, const vfs::Filesystem& lay
   ImageConfig config = base.config;
   config.diff_ids.push_back(layer.digest);
   config.history.emplace_back(created_by);
-  Descriptor config_descriptor =
-      put_blob(json::serialize(config.to_json()), kMediaTypeConfig);
 
   Manifest manifest = base.manifest;
-  manifest.config = config_descriptor;
+  manifest.config = put_config(config);
   manifest.layers.push_back(layer);
   COMT_TRY(Digest manifest_digest, add_manifest(manifest, tag));
   return Image{manifest_digest, std::move(manifest), std::move(config)};
@@ -598,7 +635,7 @@ Result<Image> Layout::create_image(const ImageConfig& config,
   } else {
     stored.history.assign(layers.size(), "layer");
   }
-  manifest.config = put_blob(json::serialize(stored.to_json()), kMediaTypeConfig);
+  manifest.config = put_config(stored);
   COMT_TRY(Digest manifest_digest, add_manifest(manifest, tag));
   return Image{manifest_digest, std::move(manifest), std::move(stored)};
 }

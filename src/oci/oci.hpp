@@ -66,6 +66,7 @@ struct Descriptor {
   std::uint64_t size = 0;
   std::map<std::string, std::string> annotations;
 
+  bool operator==(const Descriptor&) const = default;
   json::Value to_json() const;
   static Result<Descriptor> from_json(const json::Value& value);
 };
@@ -77,6 +78,8 @@ struct RuntimeConfig {
   std::vector<std::string> cmd;         ///< default argv suffix
   std::string working_dir = "/";
   std::map<std::string, std::string> labels;
+
+  bool operator==(const RuntimeConfig&) const = default;
 };
 
 /// OCI image config blob.
@@ -87,6 +90,7 @@ struct ImageConfig {
   std::vector<Digest> diff_ids;         ///< uncompressed layer digests, in order
   std::vector<std::string> history;     ///< one created_by line per layer
 
+  bool operator==(const ImageConfig&) const = default;
   json::Value to_json() const;
   static Result<ImageConfig> from_json(const json::Value& value);
 };
@@ -97,6 +101,7 @@ struct Manifest {
   std::vector<Descriptor> layers;
   std::map<std::string, std::string> annotations;
 
+  bool operator==(const Manifest&) const = default;
   json::Value to_json() const;
   static Result<Manifest> from_json(const json::Value& value);
 };
@@ -110,16 +115,18 @@ struct Image {
 
 namespace detail {
 /// What is known of one stored buffer (defined in oci.cpp): the digest it
-/// was proven against, its unpacked tree, and one value derived from it.
+/// was proven against, its unpacked tree, and one value derived from it (a
+/// layer's layer_memo, or a manifest's or config's parse).
 struct LayerSlot;
 }  // namespace detail
 
 /// A stored blob handed from one layout to another by reference
 /// (Layout::share_blob, then Layout::adopt_blob): the immutable buffer, and
-/// the slot bound to it, which carries the buffer's proof and its unpacked
-/// tree, so a hash or an unpack done by any layout that holds the buffer
-/// serves every other one. A blob shared by an attached layout is a fresh
-/// copy of its bytes and has no slot, as has one made from bytes.
+/// the slot bound to it, which carries the buffer's proof, its unpacked
+/// tree and its parse, so a hash, an unpack or a parse done by any layout
+/// that holds the buffer serves every other one. A blob shared by an
+/// attached layout is a fresh copy of its bytes and has no slot, as has one
+/// made from bytes.
 class SharedBlob {
  public:
   /// Bytes no layout holds yet (a blob reassembled from chunks): no slot.
@@ -157,15 +164,20 @@ class SharedBlob {
 /// bound to that buffer: the digest the buffer was proven against (put_blob
 /// proves what it stores, adopt_blob what it checked), its unpacked tree,
 /// so the next flatten binds the kept tree's nodes instead of un-tarring the
-/// bytes again, and one value derived from the tree (layer_memo). A slot
-/// never speaks for other bytes: every read takes the slot of the buffer
-/// stored at that moment, so flatten always returns the fold of apply_layer
-/// over tar::unpack of the bytes stored now, damaged bytes included, and a
-/// proof never covers bytes it was not computed from. Copies and adopters of
-/// a buffer share its slot; a put binds a fresh slot to the digest it
-/// replaces, a torn put and a removal drop the digest's slot. An attached
-/// layout keeps no slots: another writer can change its backend, so every
-/// read from it is hashed.
+/// bytes again, and one value derived from the buffer: a layer's layer_memo,
+/// or the parsed Manifest or ImageConfig of a manifest or config blob, which
+/// load_image reads instead of parsing the JSON again. add_manifest and
+/// put_config keep the value they serialized; any other buffer is parsed on
+/// its first load. A slot never speaks for other bytes: every read takes the
+/// slot of the buffer stored at that moment, so flatten always returns the
+/// fold of apply_layer over tar::unpack of the bytes stored now, load_image
+/// the parse of the bytes stored now, damaged bytes included, and a proof
+/// never covers bytes it was not computed from. A failed parse or derive is
+/// returned and not kept. Copies and adopters of a buffer share its slot; a
+/// put binds a fresh slot to the digest it replaces, a torn put and a
+/// removal drop the digest's slot. An attached layout keeps no slots:
+/// another writer can change its backend, so every read from it is hashed
+/// or parsed afresh.
 class Layout {
  public:
   Layout();
@@ -253,8 +265,13 @@ class Layout {
   bool is_pinned(const Digest& digest) const { return pins_.count(digest) != 0; }
 
   /// Serializes `manifest`, stores it, and records `tag` in the index
-  /// (replacing any previous manifest with the same tag).
+  /// (replacing any previous manifest with the same tag), as tag_manifest
+  /// does. The stored buffer's slot keeps `manifest` as its parse.
   Result<Digest> add_manifest(const Manifest& manifest, std::string_view tag);
+
+  /// Serializes `config`, stores it as a config blob and returns its
+  /// descriptor. The stored buffer's slot keeps `config` as its parse.
+  Descriptor put_config(const ImageConfig& config);
 
   /// All tags in the index, in insertion order.
   std::vector<std::string> tags() const;
@@ -264,15 +281,23 @@ class Layout {
 
   /// Drops `tag` from the index (the manifest blob stays). Returns whether
   /// the tag existed. fsck repair uses this to cut dangling references.
-  bool remove_tag(std::string_view tag);
+  /// An attached layout writes index.json through; when that write fails,
+  /// the index stays as it was and the error is returned.
+  Result<bool> remove_tag(std::string_view tag);
 
   /// Records `tag` -> `manifest_digest` in the index without re-serializing a
   /// manifest (replacing any previous entry for the tag). The registry mirrors
   /// its reference map into its backing store's index with this, so fsck sees
-  /// which blobs are reachable.
-  void tag_manifest(std::string_view tag, const Digest& manifest_digest);
+  /// which blobs are reachable, and a pull tags the manifest buffer it
+  /// adopted. When an attached layout's index.json write fails, the index
+  /// stays as it was and the error is returned.
+  Status tag_manifest(std::string_view tag, const Digest& manifest_digest);
 
   Result<Image> find_image(std::string_view tag) const;
+  /// The manifest stored under `manifest_digest` and the config it names,
+  /// each the parse kept in its buffer's slot (parsed and kept on first use;
+  /// an attached layout parses every time). Unverified, like get_blob.
+  /// Safe to call from several threads at once.
   Result<Image> load_image(const Digest& manifest_digest) const;
 
   /// Applies all layers of `image` in order over an empty root — the final
@@ -366,6 +391,15 @@ class Layout {
   Result<std::shared_ptr<const void>> layer_memo_impl(const Descriptor& layer,
                                                       std::type_index kind,
                                                       const Derive& derive) const;
+  /// put_blob of `blob`, the serialization of `parsed`: an in-memory
+  /// layout's new slot keeps `parsed` as its value.
+  template <typename T>
+  Descriptor put_parsed(std::string blob, std::string_view media_type,
+                        std::shared_ptr<const T> parsed);
+  /// The T (Manifest or ImageConfig) parsed from the blob stored under
+  /// `digest`, kept in the slot of its buffer.
+  template <typename T>
+  Result<std::shared_ptr<const T>> parsed_blob(const Digest& digest) const;
   /// The kBlobPutSite check of a blob write: when an armed schedule fires,
   /// stores a torn prefix of `bytes` under `digest` and throws
   /// CrashInjected.

@@ -172,10 +172,11 @@ Status Registry::push(const oci::Layout& source, std::string_view local_tag,
     COMT_TRY_STATUS(ingest_blob_locked(source, layer, report, span.id()));
   }
   COMT_TRY_STATUS(ingest_manifest_locked(source, image.manifest_digest, report));
-  references_[reference] = image.manifest_digest;
   // Mirror the reference into the store's index so oci::fsck on the backing
-  // layout sees which blobs are reachable from which repository.
-  store_.tag_manifest(reference, image.manifest_digest);
+  // layout sees which blobs are reachable from which repository. A failed
+  // index write fails the push before the reference is published.
+  COMT_TRY_STATUS(store_.tag_manifest(reference, image.manifest_digest));
+  references_[reference] = image.manifest_digest;
   if (pushes_ != nullptr) {
     pushes_->add();
     pushed_bytes_->add(transfer_.pushed_bytes - pushed_before);
@@ -197,18 +198,23 @@ Status Registry::pull(std::string_view name, std::string_view tag, oci::Layout& 
   report.reference = reference;
   transfer::DeltaReport chunked;  // what the chunk route moved, over all its blobs
   oci::Image image;
-  // Each blob the destination lacks: the hub's buffer, or the bytes the
-  // chunk route reassembled.
+  // Each blob the destination lacks, the hub's buffer or the bytes the chunk
+  // route reassembled, and last the hub's manifest buffer.
   std::vector<std::pair<oci::Descriptor, oci::SharedBlob>> fetched;
   {
     // Reader lock, held only to resolve, load and fetch: the digest checks
     // run after it is released, so a push never waits for them (the chunk
-    // route's reassembly checks its blob once under it).
+    // route's reassembly checks its blob once under it, and the manifest is
+    // checked under it before it is parsed).
     std::shared_lock<std::shared_mutex> lock(mutex_);
     auto it = references_.find(reference);
     if (it == references_.end()) {
       return make_error(Errc::not_found, "registry: no such image " + reference);
     }
+    // A proof hit for a manifest the hub took in; a rotten one fails the
+    // pull here, before anything moves.
+    COMT_TRY(oci::SharedBlob manifest, store_.share_blob(it->second));
+    COMT_TRY_STATUS(manifest.verify(it->second));
     COMT_TRY(image, store_.load_image(it->second));
     auto fetch = [&](const oci::Descriptor& blob) -> Status {
       ++report.blobs_total;
@@ -250,6 +256,12 @@ Status Registry::pull(std::string_view name, std::string_view tag, oci::Layout& 
     };
     COMT_TRY_STATUS(fetch(image.manifest.config));
     for (const oci::Descriptor& layer : image.manifest.layers) COMT_TRY_STATUS(fetch(layer));
+    // Adopted after every blob it names, and as it is: the destination gets
+    // the hub's bytes, digest and parse, not a re-serialization.
+    const std::uint64_t manifest_size = manifest.bytes().size();
+    fetched.emplace_back(oci::Descriptor{std::string(oci::kMediaTypeManifest), it->second,
+                                         manifest_size, {}},
+                         std::move(manifest));
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     transfer_.pulled_bytes += report.bytes_moved;
     transfer_.chunk_bytes_moved += chunked.bytes_moved;
@@ -265,8 +277,7 @@ Status Registry::pull(std::string_view name, std::string_view tag, oci::Layout& 
   for (auto& [blob, shared] : fetched) {
     COMT_TRY_STATUS(destination.adopt_blob(blob, std::move(shared)));
   }
-  COMT_TRY(oci::Digest digest, destination.add_manifest(image.manifest, local_tag));
-  (void)digest;
+  COMT_TRY_STATUS(destination.tag_manifest(local_tag, image.manifest_digest));
   if (pulls_ != nullptr) {
     pulls_->add();
     pulled_bytes_->add(report.bytes_moved);
@@ -304,8 +315,8 @@ Status Registry::remove(std::string_view name, std::string_view tag) {
   if (it == references_.end()) {
     return make_error(Errc::not_found, "registry: no such image " + make_reference(name, tag));
   }
+  COMT_TRY_STATUS(store_.remove_tag(it->first));
   references_.erase(it);
-  store_.remove_tag(make_reference(name, tag));
   return sweep_locked();
 }
 

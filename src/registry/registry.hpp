@@ -128,7 +128,10 @@ class Registry {
   /// Pushes the image tagged `local_tag` in `source` under "name:tag".
   /// Only blobs the registry does not already hold are "transferred"; each
   /// must match its digest, or the push fails with Errc::corrupt and the
-  /// reference is not written. With chunk dedup enabled, each new blob
+  /// reference is not written. On an attached registry, a push or remove
+  /// whose index.json write fails returns that error and leaves the
+  /// references as they were; fsck repair keeps a tag it could not cut as a
+  /// remaining finding. With chunk dedup enabled, each new blob
   /// moves only the chunks the chunk store is missing. Passing
   /// `options.bases` without chunk dedup is Errc::unsupported.
   Status push(const oci::Layout& source, std::string_view local_tag,
@@ -141,8 +144,11 @@ class Registry {
   /// its digest before any is adopted (a hub buffer by its proof, reassembled
   /// bytes by the reassembly's own check): a damaged hub blob or chunk fails
   /// the pull with Errc::corrupt naming the blob's digest and leaves
-  /// `destination` unchanged. Passing `options.local_chunks` without chunk
-  /// dedup is Errc::unsupported.
+  /// `destination` unchanged. The manifest is the hub's buffer, checked
+  /// before it is parsed, then adopted and tagged as it is: `destination`
+  /// holds the hub's exact bytes and digest and shares the hub's parse.
+  /// Passing `options.local_chunks` without chunk dedup is
+  /// Errc::unsupported.
   Status pull(std::string_view name, std::string_view tag, oci::Layout& destination,
               std::string_view local_tag, const PullOptions& options = {}) const;
 

@@ -1,6 +1,8 @@
 #include "transfer/codec.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "store/wire.hpp"
@@ -26,11 +28,30 @@ std::uint32_t hash4(const char* p) {
   return (v * 2654435761u) >> (32 - kHashBits);
 }
 
+// The match table: for each hash, the last position that hashed to it. It is
+// kept per thread and never cleared, so a call does not build 128 KiB for a
+// chunk of a few KiB: a call stores `base + position` and reads an entry
+// below its base as empty (an earlier call wrote it), so it finds exactly the
+// matches a table freshly filled with "none" would.
+struct MatchTable {
+  std::vector<std::uint32_t> head = std::vector<std::uint32_t>(std::size_t{1} << kHashBits, 0);
+  std::uint32_t base = 1;
+};
+
 std::string lz_encode(std::string_view raw) {
   std::string out;
   out.reserve(raw.size() / 2 + 16);
   const std::size_t n = raw.size();
-  std::vector<std::int64_t> head(std::size_t{1} << kHashBits, -1);
+  constexpr std::uint32_t kStampLimit = std::numeric_limits<std::uint32_t>::max();
+  thread_local MatchTable table;
+  if (n >= kStampLimit - table.base) {
+    COMT_ASSERT(n < kStampLimit - 1, "lz codec: chunk too large for a frame");
+    std::fill(table.head.begin(), table.head.end(), 0);
+    table.base = 1;
+  }
+  const std::uint32_t base = table.base;
+  table.base += static_cast<std::uint32_t>(n);
+  std::vector<std::uint32_t>& head = table.head;
   std::size_t i = 0;
   std::size_t literal_start = 0;
   auto flush_literals = [&](std::size_t end) {
@@ -43,9 +64,9 @@ std::string lz_encode(std::string_view raw) {
     }
   };
   while (i + kMinMatch <= n) {
-    const std::uint32_t h = hash4(raw.data() + i);
-    const std::int64_t candidate = head[h];
-    head[h] = static_cast<std::int64_t>(i);
+    std::uint32_t& entry = head[hash4(raw.data() + i)];
+    const std::int64_t candidate = entry >= base ? std::int64_t{entry - base} : -1;
+    entry = base + static_cast<std::uint32_t>(i);
     std::size_t match_len = 0;
     if (candidate >= 0 && i - static_cast<std::size_t>(candidate) <= kWindow) {
       const char* a = raw.data() + candidate;
@@ -69,7 +90,7 @@ std::string lz_encode(std::string_view raw) {
     // the same data keep finding long matches (capped by kMaxMatch anyway).
     const std::size_t seed_end = std::min(i + match_len, n >= kMinMatch ? n - kMinMatch + 1 : 0);
     for (std::size_t k = i + 1; k < seed_end; ++k) {
-      head[hash4(raw.data() + k)] = static_cast<std::int64_t>(k);
+      head[hash4(raw.data() + k)] = base + static_cast<std::uint32_t>(k);
     }
     i += match_len;
     literal_start = i;

@@ -2,9 +2,11 @@
 // generation, and the measurement invariants the benches rely on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "dockerfile/dockerfile.hpp"
+#include "store/store.hpp"
 #include "sysmodel/sysmodel.hpp"
 #include "toolchain/artifact.hpp"
 #include "workloads/harness.hpp"
@@ -78,6 +80,42 @@ TEST(HarnessTest, AdaptedCorpusDigestsArePinned) {
     }
     EXPECT_EQ(rebuilt.value().manifest_digest.value, expected->second.first);
     EXPECT_EQ(redirected.value().manifest_digest.value, expected->second.second);
+  }
+}
+
+// Every image a corpus adaptation leaves in a layout: the manifest and
+// config its slots keep (what add_manifest and put_config wrote) equal a
+// parse of the stored bytes, read through an attached copy, which keeps no
+// slots and parses every load.
+TEST(HarnessTest, KeptImageMetadataEqualsAParseOfTheStoredBytes) {
+  const sysmodel::SystemProfile& system = sysmodel::SystemProfile::x86_cluster();
+  Evaluation world(system);
+  std::vector<std::string> wanted = {sysenv_tag(system), rebase_tag(system)};
+  for (const AppSpec& app : corpus()) {
+    auto prepared = world.prepare(app);
+    ASSERT_TRUE(prepared.ok()) << app.name << ": " << prepared.error().to_string();
+    auto optimized = world.adapt(app, prepared.value());
+    ASSERT_TRUE(optimized.ok()) << app.name << ": " << optimized.error().to_string();
+    wanted.push_back(prepared.value().dist_tag);
+    wanted.push_back(prepared.value().extended_tag);
+    wanted.push_back(core::base_tag_of(prepared.value().extended_tag) +
+                     std::string(core::kRebuiltSuffix));
+    wanted.push_back(optimized.value());
+  }
+  oci::Layout attached = world.layout();
+  ASSERT_TRUE(attached.attach(std::make_shared<store::MemStore>()).ok());
+  const std::vector<std::string> tags = world.layout().tags();
+  for (const std::string& tag : wanted) {
+    EXPECT_NE(std::find(tags.begin(), tags.end(), tag), tags.end()) << "missing " << tag;
+  }
+  for (const std::string& tag : tags) {
+    SCOPED_TRACE(tag);
+    auto kept = world.layout().find_image(tag);
+    auto parsed = attached.find_image(tag);
+    ASSERT_TRUE(kept.ok() && parsed.ok());
+    EXPECT_EQ(kept.value().manifest_digest, parsed.value().manifest_digest);
+    EXPECT_EQ(kept.value().manifest, parsed.value().manifest);
+    EXPECT_EQ(kept.value().config, parsed.value().config);
   }
 }
 

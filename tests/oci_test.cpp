@@ -511,6 +511,84 @@ TEST(LayoutTest, BytesThatRotUnderAProvenBufferAreHashedOnTheNextTransfer) {
   EXPECT_TRUE(third.fsck().ok());
 }
 
+// -- kept metadata: the parse a slot keeps follows the stored bytes ----------
+
+TEST(LayoutTest, KeptMetadataFollowsTheStoredBytes) {
+  Layout layout;
+  auto image = two_layer_image(layout);
+  ASSERT_TRUE(image.ok());
+  const Digest manifest = image.value().manifest_digest;
+  const Digest config = image.value().manifest.config.digest;
+  const std::string manifest_bytes = layout.get_blob(manifest).value();
+  ASSERT_TRUE(layout.find_image("two").ok());
+  const Layout before = layout;  // shares the kept parses
+
+  // A manifest that rots: the next load parses the bytes stored now, a copy
+  // taken before keeps its own bytes and parse.
+  Manifest rotted = image.value().manifest;
+  rotted.annotations["rotted"] = "manifest";
+  layout.set_blob_bytes(manifest, json::serialize(rotted.to_json()));
+  auto loaded = layout.find_image("two");
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(loaded.value().manifest, rotted);
+  EXPECT_EQ(before.find_image("two").value().manifest, image.value().manifest);
+
+  // Bytes that do not parse fail the load; the true bytes load again.
+  layout.set_blob_bytes(manifest, "{\"schemaVersion\": 2");
+  EXPECT_FALSE(layout.find_image("two").ok());
+  layout.set_blob_bytes(manifest, manifest_bytes);
+  EXPECT_EQ(layout.find_image("two").value().manifest, image.value().manifest);
+
+  // A config that rots, likewise.
+  ImageConfig rotted_config = image.value().config;
+  rotted_config.config.env.push_back("ROTTED=config");
+  layout.set_blob_bytes(config, json::serialize(rotted_config.to_json()));
+  EXPECT_EQ(layout.find_image("two").value().config, rotted_config);
+  EXPECT_EQ(before.find_image("two").value().config, image.value().config);
+
+  // An attached layout parses every load: another writer's change to its
+  // backend shows at once.
+  Layout attached;
+  ASSERT_TRUE(two_layer_image(attached).ok());
+  auto backend = std::make_shared<store::MemStore>();
+  ASSERT_TRUE(attached.attach(backend).ok());
+  ASSERT_TRUE(attached.find_image("two").ok());
+  ASSERT_TRUE(backend
+                  ->put("blobs/sha256/" + config.value.substr(std::string("sha256:").size()),
+                        json::serialize(rotted_config.to_json()))
+                  .ok());
+  EXPECT_EQ(attached.find_image("two").value().config, rotted_config);
+}
+
+TEST(LayoutTest, ConcurrentFindImageOnCopiesAgrees) {
+  // A copy of an attached layout holds bytes no slot has parsed yet, so the
+  // threads race to parse and keep each buffer's manifest and config.
+  Layout attached;
+  auto image = two_layer_image(attached);
+  ASSERT_TRUE(image.ok());
+  ASSERT_TRUE(attached.attach(std::make_shared<store::MemStore>()).ok());
+  const Layout template_layout = attached;
+
+  auto matches = [&](const Result<Image>& loaded) {
+    return loaded.ok() && loaded.value().manifest_digest == image.value().manifest_digest &&
+           loaded.value().manifest == image.value().manifest &&
+           loaded.value().config == image.value().config;
+  };
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 25; ++i) {
+        Layout copy = template_layout;
+        if (!matches(copy.find_image("two"))) ++mismatches;
+        if (!matches(template_layout.find_image("two"))) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 // The paper's §4.5 file-system simulator: flattening multiple layers with
 // deletes/opaque markers, parameterized over layer counts.
 class FlattenDepth : public ::testing::TestWithParam<int> {};
